@@ -82,37 +82,38 @@ def _parse_cell(cell: str) -> float:
 
 
 def parse_csv(text: str) -> CsvSample:
-    """Parse a two-column numeric CSV; a non-numeric first row is a header."""
-    rows = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text))]
+    """Parse a two-column numeric CSV, skipping blank rows; a non-numeric first row is a header."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(i, [cell.strip() for cell in row]) for i, row in enumerate(reader, start=1)]
+    rows = [(i, row) for i, row in rows if any(row)]
     if not rows:
         raise ParseError("empty input", row=1, col=1)
 
     header = None
-    first = rows[0]
+    header_row, first = rows[0]
     try:
         for cell in first:
             _parse_cell(cell)
     except ValueError:
         header = tuple(first)
         if len(header) != 2:
-            raise ParseError(f"expected 2 columns, found {len(header)}", row=1, col=1)
+            raise ParseError(f"expected 2 columns, found {len(header)}", row=header_row, col=1)
         rows = rows[1:]
 
     xs, vs = [], []
-    offset = 2 if header is not None else 1
-    for i, row in enumerate(rows):
+    for number, row in rows:
         if len(row) != 2:
-            raise ParseError(f"expected 2 columns, found {len(row)}", row=i + offset, col=1)
+            raise ParseError(f"expected 2 columns, found {len(row)}", row=number, col=1)
         pair = []
         for j, cell in enumerate(row):
             try:
                 pair.append(_parse_cell(cell))
             except ValueError:
-                raise ParseError(f"not a number: {cell!r}", row=i + offset, col=j + 1) from None
+                raise ParseError(f"not a number: {cell!r}", row=number, col=j + 1) from None
         xs.append(pair[0])
         vs.append(pair[1])
     if not xs:
-        raise ParseError("no data rows", row=offset, col=1)
+        raise ParseError("no data rows", row=header_row + 1, col=1)
     return CsvSample(header=header, x=np.asarray(xs), v=np.asarray(vs))
 
 
@@ -160,15 +161,17 @@ def cmd_fit(args) -> dict:
     basis = TrendBasis.constant() if args.basis == "constant" else TrendBasis.linear()
     lam = _load_lambda(args.lam, data.n)
     design = build_design(basis, data.x)
-    beta = gls_beta(design, lam, data.v)
+    if args.at is None:
+        beta = gls_beta(design, lam, data.v)
+    else:
+        solution = kriging_weights(design, lam, feature_vector(basis, args.at), obs=data.v)
+        beta = solution.beta_hat
 
     outputs = {
         "beta_hat": [float(b) for b in beta],
         "rendered": {"beta_hat": [render_one_decimal(b) for b in beta]},
     }
     if args.at is not None:
-        f = feature_vector(basis, args.at)
-        solution = kriging_weights(design, lam, f)
         outputs["at"] = {
             "point": float(args.at),
             "variance_factor": _complex_doc(solution.variance_factor),

@@ -93,11 +93,11 @@ def zero_variance_points(covariates) -> ConjugatePair:
 
 
 def _mean_components(sample: Sample) -> tuple[IndexMoments, float, float]:
-    """(moments, v̄, mean of x·v) shared by the mean and its imaginary error."""
+    """(moments, v̄, mean(x·v) - m_n·v̄) shared by the mean and the slope."""
     mom = _nondegenerate_moments(sample.covariates)
     vbar = float(np.mean(sample.observations))
     xvbar = float(np.mean(sample.covariates * sample.observations))
-    return mom, vbar, xvbar
+    return mom, vbar, xvbar - mom.m_n * vbar
 
 
 def complex_mean(sample: Sample) -> ConjugatePair:
@@ -107,8 +107,8 @@ def complex_mean(sample: Sample) -> ConjugatePair:
     complex-point kriging weights to the observations.  The real part is the
     arithmetic mean of the observations, exactly.
     """
-    mom, vbar, xvbar = _mean_components(sample)
-    return ConjugatePair.from_plus(complex(vbar, (xvbar - mom.m_n * vbar) / mom.sigma_n))
+    mom, vbar, cov = _mean_components(sample)
+    return ConjugatePair.from_plus(complex(vbar, cov / mom.sigma_n))
 
 
 def complex_variance(sample: Sample) -> ComplexMoments:
@@ -118,19 +118,19 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     squared observations; the plus branch of the variance pairs with the
     plus branch of the mean (one consistent evaluation point throughout).
     """
-    points = zero_variance_points(sample.covariates)
+    mom, vbar, cov = _mean_components(sample)
+    mean = ConjugatePair.from_plus(complex(vbar, cov / mom.sigma_n))
     basis = TrendBasis.linear()
     design = build_design(basis, sample.covariates)
-    solution = kriging_weights(design, None, feature_vector(basis, points.plus))
+    solution = kriging_weights(design, None, feature_vector(basis, complex(mom.m_n, mom.sigma_n)))
     wsq_plus = complex(np.dot(solution.weights, sample.observations**2))
 
-    mean = complex_mean(sample)
     return ComplexMoments(
         mean=mean,
         variance=ConjugatePair.from_plus(wsq_plus - mean.plus**2),
         weighted_square=ConjugatePair.from_plus(wsq_plus),
         real_se=real_standard_error(sample),
-        imag_se=imaginary_standard_error(sample),
+        imag_se=abs(mean.plus.imag),
     )
 
 
@@ -144,14 +144,13 @@ def real_standard_error(sample: Sample) -> float:
 
 def imaginary_standard_error(sample: Sample) -> float:
     """Magnitude of the imaginary part of the complex mean, |slope|·σ_n."""
-    mom, vbar, xvbar = _mean_components(sample)
-    return abs((xvbar - mom.m_n * vbar) / mom.sigma_n)
+    return abs(complex_mean(sample).plus.imag)
 
 
 def slope(sample: Sample) -> float:
     """Least-squares slope of the linear trend, (mean(x·v) - m_n·v̄)/σ_n²."""
-    mom, vbar, xvbar = _mean_components(sample)
-    return (xvbar - mom.m_n * vbar) / (mom.sigma_n * mom.sigma_n)
+    mom, _, cov = _mean_components(sample)
+    return cov / (mom.sigma_n * mom.sigma_n)
 
 
 def constant_mean_variance(n: int, sigma2: float = 1.0) -> float:

@@ -3,14 +3,19 @@
 ``kkt_solve`` solves the stationarity-plus-unbiasedness equations as one
 bordered linear system, with none of the closed forms, so it can referee
 them.  The Monte-Carlo driver simulates the trend-plus-white-noise model
-with per-replicate RNG substreams and measures the empirical error moments
-of the predictor at any (real or complex) evaluation point.
+and measures the empirical error moments of the predictor at any (real or
+complex) evaluation point.
+
+Stream contract: block b of ``BLOCK`` replicates draws its (BLOCK, n) noise
+matrix row-major from ``Generator(Philox(key=seed).jumped(b))``, and
+replicate r is the trend plus row ``r % BLOCK`` of block ``r // BLOCK``.  A
+replicate depends on (seed, r, BLOCK) only, never on the replicate count;
+``BLOCK`` is part of the contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,10 +27,13 @@ from .kriging import (
     build_design,
     feature_vector,
     kriging_weights,
-    predict,
+    predict,  # noqa: F401  (bench/tracer.py wraps ckrig.validation.predict)
 )
 
 KKT_RESIDUAL_TOL = 1e-9
+
+# Replicates per Philox substream; part of the stream contract.
+BLOCK = 4096
 
 _NOISE_KINDS = ("gaussian", "uniform")
 
@@ -121,58 +129,43 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     return weights, multipliers
 
 
-@lru_cache(maxsize=8)
-def _base_bitgen(seed: int) -> np.random.Philox:
-    return np.random.Philox(key=seed)
-
-
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    # Counter-based substream: jump the Philox counter by replicate blocks of
-    # 2**128 draws, so replicate r's stream depends only on (seed, r) and is
-    # identical under any execution order or batching.  jumped() leaves the
-    # cached base untouched.
-    return np.random.Generator(_base_bitgen(seed).jumped(replicate))
-
-
-@lru_cache(maxsize=8)
-def _trend(config: SimulationConfig) -> np.ndarray:
-    trend = build_design(config.basis, np.asarray(config.covariates)).F @ np.asarray(config.beta)
-    trend.flags.writeable = False
-    return trend
+def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the noise matrix of ``block``; Philox fills it row-major."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(block))
+    shape = (rows, config.n)
+    if config.noise_kind == "gaussian":
+        return config.sigma * rng.standard_normal(shape)
+    # Uniform on [-a, a] with a = sigma*sqrt(3) has variance sigma^2.
+    half_width = config.sigma * np.sqrt(3.0)
+    return rng.uniform(-half_width, half_width, shape)
 
 
 def simulate_process(config: SimulationConfig, replicate: int = 0) -> Sample:
     """One realization of the model, deterministic in (seed, replicate)."""
     x = np.asarray(config.covariates)
-    trend = _trend(config)
-    rng = _replicate_rng(config.seed, replicate)
-    if config.noise_kind == "gaussian":
-        noise = config.sigma * rng.standard_normal(x.size)
-    else:
-        # Uniform on [-a, a] with a = sigma*sqrt(3) has variance sigma^2.
-        half_width = config.sigma * np.sqrt(3.0)
-        noise = rng.uniform(-half_width, half_width, x.size)
-    return Sample(covariates=x, observations=trend + noise)
+    trend = build_design(config.basis, x).F @ np.asarray(config.beta)
+    block, row = divmod(replicate, BLOCK)
+    return Sample(covariates=x, observations=trend + _block_noise(config, block, row + 1)[row])
 
 
 def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloReport:
     """Empirical error moments of the predictor at ``evaluation_point``.
 
-    Per replicate: simulate, fit, predict, and record the error against the
-    true trend value at the point.  The reduction runs in replicate order,
-    so the report is identical under any execution schedule.
+    The errors of a block are ``noise @ w + (w·trend - truth)``; the second
+    term is zero up to roundoff because w'F = f.  They equal ``predict`` on
+    ``simulate_process`` replicates up to summation order, and the reduction
+    runs in replicate order.
     """
-    point = complex(evaluation_point)
-    basis = config.basis
-    design = build_design(basis, np.asarray(config.covariates))
-    f = feature_vector(basis, point)
-    solution = kriging_weights(design, None, f)
-    truth = complex(f @ np.asarray(config.beta))
+    design = build_design(config.basis, np.asarray(config.covariates))
+    f = feature_vector(config.basis, evaluation_point)
+    beta = np.asarray(config.beta)
+    weights = kriging_weights(design, None, f).weights
+    offset = complex(weights @ (design.F @ beta) - f @ beta)
 
     errors = np.empty(config.replicates, dtype=complex)
-    for r in range(config.replicates):
-        sample = simulate_process(config, r)
-        errors[r] = predict(solution, sample.observations) - truth
+    for start in range(0, config.replicates, BLOCK):
+        rows = min(BLOCK, config.replicates - start)
+        errors[start : start + rows] = _block_noise(config, start // BLOCK, rows) @ weights + offset
 
     re, im = errors.real, errors.imag
     mean_re, mean_im = float(np.mean(re)), float(np.mean(im))

@@ -58,6 +58,29 @@ class TestParseCsv:
         with pytest.raises(ParseError):
             parse_csv("1.0,2.0\n3.0,inf\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,v\n1.0,2.0\n3.0,4.0\n\n",
+            "x,v\n1.0,2.0\n\n3.0,4.0\n",
+            "x,v\n1.0,2.0\n   \n3.0,4.0\n  \n",
+        ],
+        ids=["trailing", "interior", "whitespace-only"],
+    )
+    def test_blank_lines_skipped(self, text):
+        data = parse_csv(text)
+        assert data.header == ("x", "v")
+        assert data.x.tolist() == [1.0, 3.0]
+        assert data.v.tolist() == [2.0, 4.0]
+
+    def test_error_row_counts_blank_lines(self):
+        with pytest.raises(ParseError) as err:
+            parse_csv("\nx,v\n1.0,2.0\n\n3.0,abc\n")
+        assert (err.value.row, err.value.col) == (5, 2)
+        with pytest.raises(ParseError) as err:
+            parse_csv("x,v\n\n")
+        assert err.value.row == 2
+
     def test_row_order_preserved(self):
         data = parse_csv("9,1\n1,9\n5,5\n")
         assert data.x.tolist() == [9.0, 1.0, 5.0]
@@ -157,11 +180,15 @@ class TestFitCommand:
     def test_gram_warning_lands_in_document_and_stderr(self, capsys, tmp_path):
         p = tmp_path / "narrow.csv"
         p.write_text("x,v\n1000.0,1.0\n1000.1,2.0\n1000.2,3.0\n")
-        code, out, err = run_cli(capsys, "fit", str(p), "--basis", "linear", "--json")
+        code, out, err = run_cli(
+            capsys, "fit", str(p), "--basis", "linear", "--at", "1000.1", "--json"
+        )
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert any("condition" in w for w in doc["warnings"])
-        assert "condition" in err
+        # Λ is whitened once, so the Gram warning is reported once.
+        assert len(doc["warnings"]) == 1
+        assert "condition" in doc["warnings"][0]
+        assert err.count("condition") == 1
 
 
 class TestComplexMeanCommand:

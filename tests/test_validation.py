@@ -14,9 +14,11 @@ from ckrig import (
     kkt_solve,
     kriging_weights,
     monte_carlo_mse,
+    predict,
     simulate_process,
     zero_variance_points,
 )
+from ckrig.validation import BLOCK
 from conftest import EXAMPLE_X
 
 
@@ -80,7 +82,29 @@ def test_oracle_equivalence_randomized():
         assert np.max(np.abs(mu - sol.multipliers)) <= 1e-9, f"trial {trial}"
 
 
+def _block_draw(cfg, block):
+    """The whole (BLOCK, n) noise matrix of ``block``, as the stream contract defines it."""
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
+    if cfg.noise_kind == "gaussian":
+        return cfg.sigma * rng.standard_normal((BLOCK, cfg.n))
+    half_width = cfg.sigma * math.sqrt(3.0)
+    return rng.uniform(-half_width, half_width, (BLOCK, cfg.n))
+
+
 class TestSimulateProcess:
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    def test_replicate_is_row_of_its_block(self, noise_kind):
+        cfg = SimulationConfig(
+            covariates=tuple(range(1, 12)), beta=(1.0, 0.5), sigma=1.5, replicates=1,
+            seed=4242, noise_kind=noise_kind,
+        )
+        assert BLOCK == 4096  # the block size is part of the stream contract
+        trend = build_design(cfg.basis, cfg.covariates).F @ np.asarray(cfg.beta)
+        blocks = {0: _block_draw(cfg, 0), 1: _block_draw(cfg, 1)}
+        for r in (0, BLOCK - 1, BLOCK, BLOCK + 6):
+            expected = trend + blocks[r // BLOCK][r % BLOCK]
+            np.testing.assert_array_equal(simulate_process(cfg, r).observations, expected)
+
     def test_zero_noise_recovers_trend(self):
         cfg = SimulationConfig(
             covariates=tuple(range(1, 9)), beta=(2.0, -0.5), sigma=0.0, replicates=1, seed=3
@@ -145,6 +169,42 @@ class TestSimulateProcess:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    def test_batched_matches_per_replicate_loop(self, noise_kind):
+        # Crosses a block boundary; four covariates keep the O(BLOCK^2)
+        # partial-block draws of the reference loop cheap.
+        cfg = SimulationConfig(
+            covariates=(1.0, 2.0, 3.0, 4.0), beta=(1.0, 0.5), sigma=1.0,
+            replicates=BLOCK + 7, seed=20260810, noise_kind=noise_kind,
+        )
+        point = zero_variance_points(cfg.covariates).plus
+        report = monte_carlo_mse(cfg, point)
+
+        f = feature_vector(cfg.basis, point)
+        solution = kriging_weights(build_design(cfg.basis, cfg.covariates), None, f)
+        truth = complex(f @ np.asarray(cfg.beta))
+        obs = np.array([simulate_process(cfg, r).observations for r in range(cfg.replicates)])
+        errors = np.array([predict(solution, v) - truth for v in obs])
+        re, im = errors.real, errors.imag
+        re_c, im_c = re - np.mean(re), im - np.mean(im)
+
+        # Set from float64 eps, not fitted: each error is a length-n dot
+        # product summed in another order, off by at most 2(n+2)·eps times
+        # sum |w_i|(|trend_i| + |noise_i|); the report's 1/R reductions add
+        # under log2(R) < 16 eps relative on top.
+        trend = build_design(cfg.basis, cfg.covariates).F @ np.asarray(cfg.beta)
+        scale = np.sum(np.abs(solution.weights)) * np.max(np.abs(trend) + np.abs(obs - trend))
+        emax = float(np.max(np.abs(errors)))
+        tol = 32 * (cfg.n + 2) * np.finfo(float).eps * scale * (1.0 + 2.0 * emax)
+
+        assert report.replicates_used == cfg.replicates
+        assert abs(report.mean_error_re - np.mean(re)) <= tol
+        assert abs(report.mean_error_im - np.mean(im)) <= tol
+        assert abs(report.var_re - np.mean(re_c * re_c)) <= tol
+        assert abs(report.var_im - np.mean(im_c * im_c)) <= tol
+        assert abs(report.cov_re_im - np.mean(re_c * im_c)) <= tol
+        assert abs(report.bilinear_mse - np.mean(errors * errors)) <= tol
+
     def test_tiny_noise(self):
         cfg = SimulationConfig(
             covariates=tuple(range(1, 12)), beta=(1.0, 0.3), sigma=0.001, replicates=1000, seed=5
