@@ -84,8 +84,13 @@ def _parse_cell(cell: str) -> float:
 def parse_csv(text: str) -> CsvSample:
     """Parse a two-column numeric CSV, skipping blank rows; a non-numeric first row is a header."""
     reader = csv.reader(io.StringIO(text))
-    rows = [(i, [cell.strip() for cell in row]) for i, row in enumerate(reader, start=1)]
-    rows = [(i, row) for i, row in rows if any(row)]
+    rows, line = [], 1
+    for row in reader:
+        cells = [cell.strip() for cell in row]
+        if any(cells):
+            rows.append((line, cells))
+        # A quoted cell may span lines: the next record starts after this one's last line.
+        line = reader.line_num + 1
     if not rows:
         raise ParseError("empty input", row=1, col=1)
 

@@ -3,6 +3,8 @@
 Everything here is shared plumbing: a guarded Cholesky solve for the
 symmetric positive-definite systems that appear in the trend fits, and a
 two-branch container for complex results that come in conjugate pairs.
+LAPACK (``dpotrf``/``dpotrs``) does the factoring and the solve; this module
+adds the relative pivot guard that LAPACK lacks.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 # Relative symmetry slack accepted on input matrices.
 SYMMETRY_RTOL = 1e-12
@@ -47,29 +50,6 @@ class ConjugatePair:
         raise ValueError(f"unknown branch {name!r}")
 
 
-def _cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``a`` with an explicit pivot guard.
-
-    Unlike the library factorizations, this flags *near*-degenerate systems:
-    any pivot at or below ``PIVOT_RTOL`` times the largest diagonal entry
-    raises :class:`NotPositiveDefinite` instead of silently amplifying noise.
-    """
-    n = a.shape[0]
-    tol = PIVOT_RTOL * float(np.max(np.diagonal(a)))
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not np.isfinite(pivot) or pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} is within {PIVOT_RTOL:g} of the "
-                "largest diagonal entry; the system is numerically degenerate"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
@@ -85,7 +65,10 @@ def solve_spd(a, b) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        If a Cholesky pivot falls at or below the relative guard; this is
+        If LAPACK's Cholesky factorization fails, or a pivot (the squared
+        diagonal of the factor) is not above ``PIVOT_RTOL`` times the largest
+        diagonal entry of ``a``; non-finite entries fail the same way.  Unlike
+        a bare library factorization this flags *near*-degenerate systems,
         the signal for a rank-deficient trend design.
     ValueError
         For non-square or materially asymmetric input.
@@ -103,6 +86,15 @@ def solve_spd(a, b) -> np.ndarray:
     if not np.iscomplexobj(b):
         b = b.astype(float, copy=False)
 
-    lower = _cholesky_lower(a)
-    y = solve_triangular(lower, b, lower=True)
-    return solve_triangular(lower.T, y, lower=False)
+    lower, info = dpotrf(a, lower=True, clean=False)
+    # Written so that NaN pivots fail; past a LAPACK failure the factor is unfinished.
+    failed = ~(np.diagonal(lower) ** 2 > PIVOT_RTOL * float(np.max(np.diagonal(a))))
+    if info > 0:
+        failed[info - 1 :] = True
+    if failed.any():
+        j = int(np.argmax(failed))
+        raise NotPositiveDefinite(
+            f"pivot at index {j} is not above {PIVOT_RTOL:g} of the largest diagonal "
+            "entry; the system is numerically degenerate"
+        )
+    return cho_solve((lower, True), b, check_finite=False)

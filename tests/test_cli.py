@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ckrig.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, ParseError, main, parse_csv, render_one_decimal
+from ckrig.kriging import TrendBasis, build_design, gls_beta
 from conftest import DATA_DIR
 
 
@@ -81,6 +82,12 @@ class TestParseCsv:
             parse_csv("x,v\n\n")
         assert err.value.row == 2
 
+    def test_error_row_counts_multiline_cells(self):
+        # A quoted cell spanning two lines: the error is on file line 4, record 3.
+        with pytest.raises(ParseError) as err:
+            parse_csv('x,v\n"1\n",2\n3,abc\n')
+        assert (err.value.row, err.value.col) == (4, 2)
+
     def test_row_order_preserved(self):
         data = parse_csv("9,1\n1,9\n5,5\n")
         assert data.x.tolist() == [9.0, 1.0, 5.0]
@@ -137,6 +144,29 @@ class TestFitCommand:
         assert code == EXIT_DEGENERATE
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense-lambda"])
+    def test_at_point_beta_matches_gls_beta_exactly(self, capsys, example_csv_path, tmp_path, dense):
+        data = parse_csv(example_csv_path.read_text())
+        lam, argv = None, []
+        if dense:
+            lam = np.exp(-np.abs(data.x[:, None] - data.x[None, :]) / 2.0)
+            lam_file = tmp_path / "lam.txt"
+            lam_file.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in lam))
+            argv = ["--lambda", str(lam_file)]
+        code, out, _ = run_cli(
+            capsys, "fit", str(example_csv_path), "--basis", "linear", "--at", "4.6", "--json", *argv
+        )
+        assert code == EXIT_OK
+        expected = gls_beta(build_design(TrendBasis.linear(), data.x), lam, data.v)
+        assert json.loads(out)["outputs"]["beta_hat"] == [float(b) for b in expected]
+
+    def test_overflowing_gram_exits_3(self, capsys, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("x,v\n1e160,1.0\n2e160,2.0\n3e160,3.0\n")
+        code, out, _ = run_cli(capsys, "fit", str(p), "--basis", "linear")
+        assert code == EXIT_DEGENERATE
+        assert out == ""
 
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, "fit", "no-such-file.csv")

@@ -152,6 +152,12 @@ class TestGlsBeta:
         with pytest.raises(DegenerateDesign):
             gls_beta(d, None, [1.0, 2.0, 3.0])
 
+    def test_overflowing_gram_degenerate(self):
+        # F'F overflows to inf; that must read as degenerate, not as bad input.
+        d = build_design(TrendBasis.linear(), [1e160, 2e160, 3e160])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateDesign):
+            gls_beta(d, None, [1.0, 2.0, 3.0])
+
     def test_fewer_rows_than_columns_degenerate(self):
         d = build_design(TrendBasis.linear(), [2.0])
         with pytest.raises(DegenerateDesign):

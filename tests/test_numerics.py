@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -49,6 +49,29 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd(a, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[2.0, np.nan], [np.nan, 2.0]],
+            [[2.0, 0.5], [0.5, np.inf]],
+            [[2.0, 0.5], [0.5, np.nan]],
+        ],
+        ids=["nan-off-diagonal", "inf-diagonal", "nan-diagonal"],
+    )
+    def test_non_finite_raises_not_positive_definite(self, a):
+        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
+            solve_spd(np.array(a), np.array([1.0, 1.0]))
+
+    def test_blocked_factor_reports_failing_index(self):
+        # n = 200 takes LAPACK's blocked path; row and column 150 duplicate 149.
+        rng = np.random.default_rng(7)
+        m = rng.uniform(-1.0, 1.0, size=(200, 200))
+        a = m.T @ m + np.eye(200)
+        a[150, :] = a[149, :]
+        a[:, 150] = a[:, 149]
+        with pytest.raises(NotPositiveDefinite, match="index 150 "):
+            solve_spd(a, np.ones(200))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             solve_spd(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.0, 1.0]))
@@ -60,8 +83,9 @@ class TestSolveSpd:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        k=st.integers(1, 5),
+        k=st.one_of(st.integers(1, 5), st.sampled_from([200, 257])),
     )
+    @example(seed=1, k=200)
     def test_random_spd_residual(self, seed, k):
         rng = np.random.default_rng(seed)
         m = rng.uniform(-5.0, 5.0, size=(k, k))
