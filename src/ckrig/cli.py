@@ -37,13 +37,7 @@ from .kriging import (
     predict,
     trend_variance,
 )
-from .moments import (
-    DegenerateCovariates,
-    complex_variance,
-    index_moments,
-    slope,
-    zero_variance_points,
-)
+from .moments import DegenerateCovariates, complex_variance, index_moments, zero_variance_points
 from .numerics import NotPositiveDefinite
 from .validation import MonteCarloReport, SimulationConfig, SingularSystem, monte_carlo_mse
 
@@ -97,8 +91,9 @@ def parse_csv(text: str) -> CsvSample:
     header = None
     header_row, first = rows[0]
     try:
+        # Only a cell that is not a float literal makes a header; "nan" is a bad data cell.
         for cell in first:
-            _parse_cell(cell)
+            float(cell)
     except ValueError:
         header = tuple(first)
         if len(header) != 2:
@@ -200,7 +195,7 @@ def cmd_complex_mean(args) -> dict:
     data = _load_csv(args.file)
     sample = Sample(covariates=data.x, observations=data.v)
     stats = complex_variance(sample)
-    points = zero_variance_points(data.x)
+    mom = stats.moments
     branch = args.branch
 
     rendered = {
@@ -213,17 +208,16 @@ def cmd_complex_mean(args) -> dict:
     if branch in ("minus", "both"):
         rendered["mean_im_minus"] = render_one_decimal(stats.mean.minus.imag)
 
-    mom = index_moments(data.x)
     return {
         "command": "complex-mean",
         "inputs": {"n": data.n, "basis": "linear", "branch": branch},
         "outputs": {
             "index_moments": {"m_n": mom.m_n, "m_sn": mom.m_sn, "sigma_n": mom.sigma_n},
-            "zero_variance_points": _pair_doc(points, branch),
+            "zero_variance_points": _pair_doc(stats.zero_variance_points, branch),
             "mean": _pair_doc(stats.mean, branch),
             "weighted_square": _pair_doc(stats.weighted_square, branch),
             "variance": _pair_doc(stats.variance, branch),
-            "slope": slope(sample),
+            "slope": stats.slope,
             "real_standard_error": stats.real_se,
             "imaginary_standard_error": stats.imag_se,
             "rendered": rendered,

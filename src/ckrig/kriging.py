@@ -22,12 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import NotPositiveDefinite, solve_spd
+from .numerics import NotPositiveDefinite, check_symmetric, solve_spd
 
 # Warn (do not fail) when the trend Gram matrix is worse conditioned than this.
 GRAM_CONDITION_LIMIT = 1e8
 
-CORRELATION_SYMMETRY_RTOL = 1e-12
 CORRELATION_DIAGONAL_ATOL = 1e-12
 
 
@@ -207,14 +206,13 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
 
 
 def _check_correlation(corr, n: int) -> np.ndarray:
+    """Shape, finiteness and unit diagonal of Λ; symmetry is ``numerics.check_symmetric``,
+    run by ``solve_spd`` or, where Λ is not solved with, by the caller."""
     lam = np.asarray(corr, dtype=float)
     if lam.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n}x{n}, got {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("correlation matrix must be finite")
-    scale = float(np.max(np.abs(lam)))
-    if float(np.max(np.abs(lam - lam.T))) > CORRELATION_SYMMETRY_RTOL * max(scale, 1.0):
-        raise ValueError("correlation matrix must be symmetric")
     if float(np.max(np.abs(np.diagonal(lam) - 1.0))) > CORRELATION_DIAGONAL_ATOL:
         raise ValueError("correlation matrix must have a unit diagonal")
     return lam
@@ -243,6 +241,14 @@ def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:
         ) from exc
 
 
+def _gls_solve(design: DesignMatrix, lam_inv_F: np.ndarray, gram: np.ndarray, obs) -> np.ndarray:
+    """β̂ = (F'Λ⁻¹F)⁻¹ F'Λ⁻¹v, after checking that v has one entry per row."""
+    v = np.atleast_1d(np.asarray(obs, dtype=float))
+    if v.shape != (design.n,):
+        raise LengthMismatch(f"expected {design.n} observations, got {v.shape}")
+    return _gram_solve(gram, lam_inv_F.T @ v)
+
+
 def _warn_if_ill_conditioned(gram: np.ndarray) -> None:
     # Called only after a successful solve: degenerate designs raise instead.
     cond = np.linalg.cond(gram)
@@ -267,11 +273,8 @@ def gls_beta(design: DesignMatrix, corr, obs) -> np.ndarray:
         When the Gram matrix is numerically singular, e.g. a linear trend
         with all covariates equal, or fewer observations than coefficients.
     """
-    v = np.atleast_1d(np.asarray(obs, dtype=float))
-    if v.shape != (design.n,):
-        raise LengthMismatch(f"expected {design.n} observations, got {v.shape}")
     lam_inv_F, gram = _whitened_design(design, corr)
-    beta = _gram_solve(gram, lam_inv_F.T @ v)
+    beta = _gls_solve(design, lam_inv_F, gram, obs)
     _warn_if_ill_conditioned(gram)
     return beta
 
@@ -306,18 +309,11 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
     multipliers = -gram_inv_f
     variance_factor = complex(f @ gram_inv_f)
 
-    beta_hat = None
-    if obs is not None:
-        v = np.atleast_1d(np.asarray(obs, dtype=float))
-        if v.shape != (design.n,):
-            raise LengthMismatch(f"expected {design.n} observations, got {v.shape}")
-        beta_hat = _gram_solve(gram, lam_inv_F.T @ v)
-
     return KrigingSolution(
         weights=weights,
         multipliers=multipliers,
         variance_factor=variance_factor,
-        beta_hat=beta_hat,
+        beta_hat=None if obs is None else _gls_solve(design, lam_inv_F, gram, obs),
     )
 
 
@@ -355,5 +351,6 @@ def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1
         quad = np.dot(w, w)
     else:
         lam = _check_correlation(corr, w.shape[0])
+        check_symmetric(lam)
         quad = np.dot(w, lam @ w)
     return complex(sigma2 * (1.0 + quad))

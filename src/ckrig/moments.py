@@ -50,7 +50,8 @@ class ComplexMoments:
     ``weighted_square`` is the kriging-weighted square of the observations
     at the zero-variance point; ``real_se`` and ``imag_se`` are the standard
     errors of the real and imaginary parts of the mean (the imaginary one is
-    |slope|·σ_n, reported as a magnitude).
+    |slope|·σ_n, reported as a magnitude).  ``moments``,
+    ``zero_variance_points`` and ``slope`` come from the same moment pass.
     """
 
     mean: ConjugatePair
@@ -58,6 +59,9 @@ class ComplexMoments:
     weighted_square: ConjugatePair
     real_se: float
     imag_se: float
+    moments: IndexMoments
+    zero_variance_points: ConjugatePair
+    slope: float
 
 
 def index_moments(covariates) -> IndexMoments:
@@ -83,13 +87,13 @@ def _nondegenerate_moments(covariates) -> IndexMoments:
     return mom
 
 
+def _roots(mom: IndexMoments) -> ConjugatePair:
+    return ConjugatePair(plus=complex(mom.m_n, mom.sigma_n), minus=complex(mom.m_n, -mom.sigma_n))
+
+
 def zero_variance_points(covariates) -> ConjugatePair:
     """The conjugate roots m_n ± i·σ_n of the trend-variance quadratic."""
-    mom = _nondegenerate_moments(covariates)
-    return ConjugatePair(
-        plus=complex(mom.m_n, mom.sigma_n),
-        minus=complex(mom.m_n, -mom.sigma_n),
-    )
+    return _roots(_nondegenerate_moments(covariates))
 
 
 def _mean_components(sample: Sample) -> tuple[IndexMoments, float, float]:
@@ -120,9 +124,10 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     """
     mom, vbar, cov = _mean_components(sample)
     mean = ConjugatePair.from_plus(complex(vbar, cov / mom.sigma_n))
+    points = _roots(mom)
     basis = TrendBasis.linear()
     design = build_design(basis, sample.covariates)
-    solution = kriging_weights(design, None, feature_vector(basis, complex(mom.m_n, mom.sigma_n)))
+    solution = kriging_weights(design, None, feature_vector(basis, points.plus))
     wsq_plus = complex(np.dot(solution.weights, sample.observations**2))
 
     return ComplexMoments(
@@ -131,6 +136,9 @@ def complex_variance(sample: Sample) -> ComplexMoments:
         weighted_square=ConjugatePair.from_plus(wsq_plus),
         real_se=real_standard_error(sample),
         imag_se=abs(mean.plus.imag),
+        moments=mom,
+        zero_variance_points=points,
+        slope=cov / (mom.sigma_n * mom.sigma_n),
     )
 
 

@@ -4,7 +4,8 @@ Everything here is shared plumbing: a guarded Cholesky solve for the
 symmetric positive-definite systems that appear in the trend fits, and a
 two-branch container for complex results that come in conjugate pairs.
 LAPACK (``dpotrf``/``dpotrs``) does the factoring and the solve; this module
-adds the relative pivot guard that LAPACK lacks.
+adds the relative pivot guard that LAPACK lacks.  The package's one symmetry
+rule, ``check_symmetric`` with ``SYMMETRY_RTOL``, lives here too.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ class ConjugatePair:
         raise ValueError(f"unknown branch {name!r}")
 
 
+def check_symmetric(a: np.ndarray) -> None:
+    """Raise ValueError unless max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a|; NaN passes."""
+    scale = float(np.max(np.abs(a)))
+    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+
+
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
@@ -76,9 +84,7 @@ def solve_spd(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    check_symmetric(a)
 
     b = np.asarray(b)
     if b.shape[0] != a.shape[0]:

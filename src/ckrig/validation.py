@@ -29,6 +29,7 @@ from .kriging import (
     kriging_weights,
     predict,  # noqa: F401  (bench/tracer.py wraps ckrig.validation.predict)
 )
+from .numerics import check_symmetric
 
 KKT_RESIDUAL_TOL = 1e-9
 
@@ -104,6 +105,7 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     if f.shape != (k,):
         raise ValueError(f"feature vector must have length {k}")
     lam = np.eye(n) if corr is None else _check_correlation(corr, n)
+    check_symmetric(lam)
 
     bordered = np.zeros((n + k, n + k))
     bordered[:n, :n] = lam

@@ -9,6 +9,7 @@ pin the oracle to those literals so neither can drift unnoticed.
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -28,6 +29,18 @@ EXAMPLE_REAL_SE = 0.5313888922162827
 EXAMPLE_IMAG_SE = 0.21609521591748287
 EXAMPLE_WSQ_PLUS = 40.872727272727275 - 5.433251143068136j
 EXAMPLE_VAR_PLUS = 3.152812844821753 - 2.777244489245983j
+
+
+def bad_correlation(kind, n):
+    """An n-by-n Λ that fails input validation: asymmetric, NaN, or a non-unit diagonal."""
+    lam = np.eye(n)
+    if kind == "asymmetric":
+        lam[0, 1] = 0.5
+    elif kind == "nan":
+        lam[0, 1] = lam[1, 0] = np.nan
+    else:
+        lam[0, 0] = 2.0
+    return lam
 
 
 def summation_oracle(x, v):

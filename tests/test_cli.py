@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from ckrig import cli, moments
 from ckrig.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, ParseError, main, parse_csv, render_one_decimal
 from ckrig.kriging import TrendBasis, build_design, gls_beta
-from conftest import DATA_DIR
+from conftest import DATA_DIR, bad_correlation
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +88,12 @@ class TestParseCsv:
         with pytest.raises(ParseError) as err:
             parse_csv('x,v\n"1\n",2\n3,abc\n')
         assert (err.value.row, err.value.col) == (4, 2)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_first_row_is_not_a_header(self, cell):
+        with pytest.raises(ParseError) as err:
+            parse_csv(f"{cell},1\n2,3\n4,5\n")
+        assert (err.value.row, err.value.col) == (1, 1)
 
     def test_row_order_preserved(self):
         data = parse_csv("9,1\n1,9\n5,5\n")
@@ -173,6 +180,14 @@ class TestFitCommand:
         assert code == EXIT_INPUT
         assert out == ""
 
+    def test_non_finite_first_row_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("nan,1\n2,3\n4,5\n6,7\n")
+        code, out, err = run_cli(capsys, "fit", str(p))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "row 1" in err
+
     def test_parse_error_exit(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,v\n1.7,abc\n")
@@ -206,6 +221,16 @@ class TestFitCommand:
         lam_file.write_text("1.0 0.0 0.0 1.0")
         code, _, _ = run_cli(capsys, "fit", str(example_csv_path), "--lambda", str(lam_file))
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("kind", ["asymmetric", "nan", "non-unit-diagonal"])
+    def test_lambda_bad_matrix_exits_2(self, capsys, example_csv_path, tmp_path, kind):
+        lam_file = tmp_path / "lam.txt"
+        rows = bad_correlation(kind, 11)
+        lam_file.write_text("\n".join(" ".join(str(v) for v in row) for row in rows))
+        code, out, err = run_cli(capsys, "fit", str(example_csv_path), "--lambda", str(lam_file))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error" in err
 
     def test_gram_warning_lands_in_document_and_stderr(self, capsys, tmp_path):
         p = tmp_path / "narrow.csv"
@@ -272,6 +297,22 @@ class TestComplexMeanCommand:
         assert code == EXIT_OK
         golden = (DATA_DIR / "complex_mean_golden.json").read_text()
         assert out == golden
+
+    def test_one_moment_pass(self, capsys, example_csv_path, monkeypatch):
+        calls = []
+
+        def spy(original):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(moments, "index_moments", spy(moments.index_moments))
+        monkeypatch.setattr(cli, "index_moments", spy(cli.index_moments))
+        code, _, _ = run_cli(capsys, "complex-mean", str(example_csv_path), "--json")
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_json_purity(self, capsys, example_csv_path):
         _, out, err = run_cli(capsys, "complex-mean", str(example_csv_path), "--json")

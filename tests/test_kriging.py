@@ -17,12 +17,14 @@ from ckrig import (
     build_design,
     feature_vector,
     gls_beta,
+    kkt_solve,
     kriging_weights,
     predict,
     prediction_error_variance,
     trend_variance,
 )
-from conftest import EXAMPLE_SIGMA_N, EXAMPLE_X, EXAMPLE_Y
+from ckrig import numerics
+from conftest import EXAMPLE_SIGMA_N, EXAMPLE_X, EXAMPLE_Y, bad_correlation
 
 
 def _random_correlation(rng, n):
@@ -283,6 +285,57 @@ class TestVariances:
         d = build_design(TrendBasis.linear(), [1.0, 2.0, 3.0])
         sol = kriging_weights(d, None, [1.0, 2.0])
         assert prediction_error_variance(sol, None, 0.0) == 0.0
+
+    @pytest.mark.parametrize("feature", [[1.0, 0.7], [1.0, 0.7 + 2.1j]], ids=["real", "complex"])
+    def test_prediction_error_dense_correlation(self, feature):
+        # sigma^2 (1 + w' Lambda w) with w from the independent bordered solve.
+        rng = np.random.default_rng(11)
+        d = build_design(TrendBasis.linear(), np.linspace(-3.0, 3.0, 30))
+        lam = _random_correlation(rng, 30)
+        w, _ = kkt_solve(d, lam, feature)
+        got = prediction_error_variance(kriging_weights(d, lam, feature), lam, 2.5)
+        expected = 2.5 * (1.0 + np.dot(w, lam @ w))
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
+def test_dense_correlation_scanned_once(call, monkeypatch):
+    calls = []
+    original = numerics.check_symmetric
+
+    def spy(a):
+        calls.append(a.shape)
+        original(a)
+
+    monkeypatch.setattr(numerics, "check_symmetric", spy)
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    lam = _random_correlation(np.random.default_rng(3), 11)
+    if call == "gls_beta":
+        gls_beta(d, lam, EXAMPLE_Y)
+    else:
+        kriging_weights(d, lam, [1.0, 4.6], obs=EXAMPLE_Y)
+    # One scan of the 11x11 Λ; the rest are 2x2 Gram solves.
+    assert calls.count((11, 11)) == 1
+
+
+@pytest.mark.parametrize("kind", ["asymmetric", "nan", "non-unit-diagonal"])
+@pytest.mark.parametrize(
+    "path", ["gls_beta", "kriging_weights", "prediction_error_variance", "kkt_solve"]
+)
+def test_bad_correlation_is_input_error(kind, path):
+    # A plain ValueError, not NotPositiveDefinite or SingularSystem: the CLI exits 2, not 3.
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    lam = bad_correlation(kind, 11)
+    with pytest.raises(ValueError) as err:
+        if path == "gls_beta":
+            gls_beta(d, lam, EXAMPLE_Y)
+        elif path == "kriging_weights":
+            kriging_weights(d, lam, [1.0, 4.6])
+        elif path == "prediction_error_variance":
+            prediction_error_variance(kriging_weights(d, None, [1.0, 4.6]), lam)
+        else:
+            kkt_solve(d, lam, [1.0, 4.6])
+    assert type(err.value) is ValueError
 
 
 # --- module invariants -------------------------------------------------------
