@@ -19,7 +19,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from math import isfinite
 from typing import Optional
 
@@ -30,6 +30,7 @@ from .kriging import (
     EmptySample,
     Sample,
     TrendBasis,
+    _noise_scale,
     build_design,
     feature_vector,
     gls_beta,
@@ -44,6 +45,9 @@ from .validation import MonteCarloReport, SimulationConfig, SingularSystem, mont
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+
+# Wide enough to quantize any finite float to one decimal: 309 integer digits plus one.
+_ONE_DECIMAL = Context(prec=400, rounding=ROUND_HALF_EVEN)
 
 
 class ParseError(ValueError):
@@ -69,7 +73,11 @@ class CsvSample:
 
 
 def _parse_cell(cell: str) -> float:
-    value = float(cell)
+    """The one rule for text to a finite float; the ValueError says what is wrong."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"not a number: {cell!r}") from None
     if not isfinite(value):
         raise ValueError(f"non-finite value {cell!r}")
     return value
@@ -108,8 +116,8 @@ def parse_csv(text: str) -> CsvSample:
         for j, cell in enumerate(row):
             try:
                 pair.append(_parse_cell(cell))
-            except ValueError:
-                raise ParseError(f"not a number: {cell!r}", row=number, col=j + 1) from None
+            except ValueError as exc:
+                raise ParseError(str(exc), row=number, col=j + 1) from None
         xs.append(pair[0])
         vs.append(pair[1])
     if not xs:
@@ -119,7 +127,7 @@ def parse_csv(text: str) -> CsvSample:
 
 def render_one_decimal(value: float) -> str:
     """One-decimal rendering with round-half-even ties, e.g. 6.1454 -> '6.1'."""
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), rounding=ROUND_HALF_EVEN))
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), context=_ONE_DECIMAL))
 
 
 def _complex_doc(z: complex) -> dict:
@@ -150,13 +158,13 @@ def _load_lambda(source: str, n: int):
             f"correlation file must hold {n}x{n} = {n * n} values, found {len(values)}"
         )
     try:
-        lam = np.array([float(v) for v in values]).reshape(n, n)
+        return np.array([_parse_cell(v) for v in values]).reshape(n, n)
     except ValueError as exc:
         raise ValueError(f"correlation file: {exc}") from None
-    return lam
 
 
 def cmd_fit(args) -> dict:
+    _noise_scale(args.sigma2, "sigma2")
     data = _load_csv(args.file)
     basis = TrendBasis.constant() if args.basis == "constant" else TrendBasis.linear()
     lam = _load_lambda(args.lam, data.n)
@@ -302,12 +310,9 @@ def _at_point(text: str):
 
 def _real_point(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not isfinite(value):
-        raise argparse.ArgumentTypeError("evaluation point must be finite")
-    return value
+        return _parse_cell(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="trend coefficients and variance factor")
     fit.add_argument("file", help="two-column CSV of covariates and observations")
     fit.add_argument("--basis", choices=("constant", "linear"), default="linear")
-    fit.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1)")
+    fit.add_argument("--sigma2", type=_real_point, default=1.0, help="noise variance (default 1)")
     fit.add_argument(
         "--lambda",
         dest="lam",
@@ -345,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte-Carlo error moments of the predictor")
     sim.add_argument("--n", type=int, default=11, help="sample size; covariates are 1..n")
-    sim.add_argument("--beta1", type=float, default=0.0, help="true intercept")
-    sim.add_argument("--beta2", type=float, default=0.0, help="true slope")
-    sim.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
+    sim.add_argument("--beta1", type=_real_point, default=0.0, help="true intercept")
+    sim.add_argument("--beta2", type=_real_point, default=0.0, help="true slope")
+    sim.add_argument("--sigma", type=_real_point, default=1.0, help="noise standard deviation")
     sim.add_argument("--replicates", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--noise", choices=("gaussian", "uniform"), default="gaussian")

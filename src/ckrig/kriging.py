@@ -58,20 +58,16 @@ class Sample:
     observations: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.covariates, dtype=float))
-        v = np.atleast_1d(np.asarray(self.observations, dtype=float))
-        if x.size == 0:
-            raise EmptySample("sample is empty")
-        if x.shape != v.shape or x.ndim != 1:
+        for name in ("covariates", "observations"):
+            # A private copy: freezing the caller's own array would make it read-only.
+            values = _real_vector(np.array(getattr(self, name), dtype=float), name)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        x, v = self.covariates, self.observations
+        if x.shape != v.shape:
             raise LengthMismatch(
                 f"covariates {x.shape} and observations {v.shape} must be equal-length vectors"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ValueError("sample values must be finite")
-        x.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "covariates", x)
-        object.__setattr__(self, "observations", v)
 
     @property
     def n(self) -> int:
@@ -163,14 +159,7 @@ def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
     Constant gives a column of ones, linear the columns [1, x]; a columns
     basis evaluates each user function per covariate.
     """
-    x = np.atleast_1d(np.asarray(covariates, dtype=float))
-    if x.size == 0:
-        raise EmptySample("no covariates")
-    if x.ndim != 1:
-        raise ValueError("covariates must be one-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("covariates must be finite")
-
+    x = _real_vector(covariates, "covariates")
     if basis.kind == "constant":
         F = np.ones((x.size, 1))
     elif basis.kind == "linear":
@@ -189,7 +178,7 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
     :class:`UnsupportedComplexBasis`; real points evaluate the user columns.
     """
     z = complex(point)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not np.isfinite(z):
         raise ValueError("evaluation point must be finite")
     if basis.kind == "constant":
         return np.array([1.0])
@@ -203,6 +192,48 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
             "feature values directly if the extension is known"
         )
     return np.array([float(fn(z.real)) for fn in basis.functions])
+
+
+def _real_vector(values, what: str) -> np.ndarray:
+    """The sample-vector rule: ``values`` as a non-empty, one-dimensional, finite float array."""
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    if x.size == 0:
+        raise EmptySample(f"no {what}")
+    if x.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
+def _feature_values(feature, k: int) -> np.ndarray:
+    """The feature-vector rule: k finite (real or complex) trend basis values."""
+    f = np.atleast_1d(np.asarray(feature))
+    if f.shape != (k,):
+        raise LengthMismatch(f"feature vector must have length {k}, got {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("feature vector must be finite")
+    return f
+
+
+def _noise_scale(value, what: str):
+    """The noise-scale rule for σ² and σ: finite and non-negative (NaN fails both bounds)."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{what} must be finite and non-negative")
+    return value
+
+
+def _weigh_observations(weights: np.ndarray, obs):
+    """The observation rule: ``weights @ v`` for v of matching length, raising unless finite.
+    A non-finite v makes every entry non-finite (0·inf is NaN), so the O(k) result is checked."""
+    v = np.atleast_1d(np.asarray(obs, dtype=float))
+    if v.shape != weights.shape[-1:]:
+        raise LengthMismatch(f"expected {weights.shape[-1]} observations, got {v.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        weighted = np.dot(weights, v)
+    if not np.isfinite(weighted).all():
+        raise ValueError("observations must be finite, and their weighted sums must not overflow")
+    return weighted
 
 
 def _check_correlation(corr, n: int) -> np.ndarray:
@@ -241,18 +272,10 @@ def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:
         ) from exc
 
 
-def _gls_solve(design: DesignMatrix, lam_inv_F: np.ndarray, gram: np.ndarray, obs) -> np.ndarray:
-    """β̂ = (F'Λ⁻¹F)⁻¹ F'Λ⁻¹v, after checking that v has one entry per row."""
-    v = np.atleast_1d(np.asarray(obs, dtype=float))
-    if v.shape != (design.n,):
-        raise LengthMismatch(f"expected {design.n} observations, got {v.shape}")
-    return _gram_solve(gram, lam_inv_F.T @ v)
-
-
 def _warn_if_ill_conditioned(gram: np.ndarray) -> None:
     # Called only after a successful solve: degenerate designs raise instead.
     cond = np.linalg.cond(gram)
-    if np.isfinite(cond) and cond > GRAM_CONDITION_LIMIT:
+    if GRAM_CONDITION_LIMIT < cond < np.inf:
         warnings.warn(
             f"trend Gram matrix condition {cond:.2e} exceeds {GRAM_CONDITION_LIMIT:.0e}; "
             "results may lose accuracy",
@@ -274,7 +297,7 @@ def gls_beta(design: DesignMatrix, corr, obs) -> np.ndarray:
         with all covariates equal, or fewer observations than coefficients.
     """
     lam_inv_F, gram = _whitened_design(design, corr)
-    beta = _gls_solve(design, lam_inv_F, gram, obs)
+    beta = _gram_solve(gram, _weigh_observations(lam_inv_F.T, obs))
     _warn_if_ill_conditioned(gram)
     return beta
 
@@ -298,9 +321,7 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
         When given, the GLS coefficients are solved as well and stored on the
         returned solution.
     """
-    f = np.atleast_1d(np.asarray(feature))
-    if f.shape != (design.k,):
-        raise LengthMismatch(f"feature vector must have length {design.k}, got {f.shape}")
+    f = _feature_values(feature, design.k)
     lam_inv_F, gram = _whitened_design(design, corr)
 
     gram_inv_f = _gram_solve(gram, f)
@@ -313,7 +334,7 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
         weights=weights,
         multipliers=multipliers,
         variance_factor=variance_factor,
-        beta_hat=None if obs is None else _gls_solve(design, lam_inv_F, gram, obs),
+        beta_hat=None if obs is None else _gram_solve(gram, _weigh_observations(lam_inv_F.T, obs)),
     )
 
 
@@ -323,12 +344,7 @@ def predict(solution: KrigingSolution, obs) -> complex:
     Equals the trend fit evaluated at the feature vector, f'β̂, up to solve
     accuracy.
     """
-    v = np.atleast_1d(np.asarray(obs, dtype=float))
-    if v.shape != solution.weights.shape:
-        raise LengthMismatch(
-            f"expected {solution.weights.shape[0]} observations, got {v.shape}"
-        )
-    return complex(np.dot(solution.weights, v))
+    return complex(_weigh_observations(solution.weights, obs))
 
 
 def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
@@ -337,15 +353,12 @@ def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
     Bilinear in the feature vector, so it vanishes at the complex roots of
     the variance quadratic rather than staying positive.
     """
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and non-negative")
-    return complex(sigma2 * solution.variance_factor)
+    return complex(_noise_scale(sigma2, "sigma2") * solution.variance_factor)
 
 
 def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1.0) -> complex:
     """Noise prediction error second moment σ²(1 + ω'Λω), bilinear form."""
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and non-negative")
+    _noise_scale(sigma2, "sigma2")
     w = solution.weights
     if corr is None:
         quad = np.dot(w, w)

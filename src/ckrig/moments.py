@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kriging import (
-    EmptySample,
     Sample,
     TrendBasis,
+    _noise_scale,
+    _real_vector,
     build_design,
     feature_vector,
     kriging_weights,
@@ -66,11 +67,7 @@ class ComplexMoments:
 
 def index_moments(covariates) -> IndexMoments:
     """Sample moments m_n = mean(x), m_sn = mean(x²), σ_n = sqrt(m_sn - m_n²)."""
-    x = np.atleast_1d(np.asarray(covariates, dtype=float))
-    if x.size == 0:
-        raise EmptySample("no covariates")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("covariates must be finite")
+    x = _real_vector(covariates, "covariates")
     m_n = float(np.mean(x))
     m_sn = float(np.mean(x * x))
     spread = max(m_sn - m_n * m_n, 0.0)
@@ -78,11 +75,12 @@ def index_moments(covariates) -> IndexMoments:
 
 
 def _nondegenerate_moments(covariates) -> IndexMoments:
-    x = np.atleast_1d(np.asarray(covariates, dtype=float))
-    mom = index_moments(x)
-    if x.size < 2 or mom.sigma_n <= DEGENERATE_SPREAD_RTOL * max(1.0, abs(mom.m_n)):
+    # Moments that overflow give a NaN or infinite σ_n; that fails here, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = index_moments(covariates)
+    if not DEGENERATE_SPREAD_RTOL * max(1.0, abs(mom.m_n)) < mom.sigma_n < math.inf:
         raise DegenerateCovariates(
-            "covariates have no spread; at least two distinct values are required"
+            "covariates have no finite spread; at least two distinct values are required"
         )
     return mom
 
@@ -165,9 +163,7 @@ def constant_mean_variance(n: int, sigma2: float = 1.0) -> float:
     """Trend variance of the constant fit: σ²/n, positive for every finite n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError("sigma2 must be finite and non-negative")
-    return sigma2 / n
+    return _noise_scale(sigma2, "sigma2") / n
 
 
 __all__ = [

@@ -18,8 +18,8 @@ from scipy.linalg.lapack import dpotrf
 
 # Relative symmetry slack accepted on input matrices.
 SYMMETRY_RTOL = 1e-12
-# A Cholesky pivot at or below this fraction of the largest diagonal entry
-# is treated as a degenerate (not positive definite) system.
+# A Cholesky pivot at or below this fraction of its own diagonal entry is treated
+# as degenerate (not positive definite); the ratio does not move when a column is rescaled.
 PIVOT_RTOL = 1e-14
 
 
@@ -74,7 +74,7 @@ def solve_spd(a, b) -> np.ndarray:
     ------
     NotPositiveDefinite
         If LAPACK's Cholesky factorization fails, or a pivot (the squared
-        diagonal of the factor) is not above ``PIVOT_RTOL`` times the largest
+        diagonal of the factor) is not above ``PIVOT_RTOL`` times its own
         diagonal entry of ``a``; non-finite entries fail the same way.  Unlike
         a bare library factorization this flags *near*-degenerate systems,
         the signal for a rank-deficient trend design.
@@ -94,13 +94,13 @@ def solve_spd(a, b) -> np.ndarray:
 
     lower, info = dpotrf(a, lower=True, clean=False)
     # Written so that NaN pivots fail; past a LAPACK failure the factor is unfinished.
-    failed = ~(np.diagonal(lower) ** 2 > PIVOT_RTOL * float(np.max(np.diagonal(a))))
+    failed = ~(np.diagonal(lower) ** 2 > PIVOT_RTOL * np.diagonal(a))
     if info > 0:
         failed[info - 1 :] = True
     if failed.any():
         j = int(np.argmax(failed))
         raise NotPositiveDefinite(
-            f"pivot at index {j} is not above {PIVOT_RTOL:g} of the largest diagonal "
-            "entry; the system is numerically degenerate"
+            f"pivot at index {j} is not above {PIVOT_RTOL:g} of its diagonal entry; "
+            "the system is numerically degenerate"
         )
     return cho_solve((lower, True), b, check_finite=False)

@@ -24,6 +24,9 @@ from .kriging import (
     Sample,
     TrendBasis,
     _check_correlation,
+    _feature_values,
+    _noise_scale,
+    _real_vector,
     build_design,
     feature_vector,
     kriging_weights,
@@ -55,12 +58,11 @@ class SimulationConfig:
     noise_kind: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(float(c) for c in self.covariates))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        for name in ("covariates", "beta"):
+            object.__setattr__(self, name, tuple(_real_vector(getattr(self, name), name).tolist()))
         if len(self.beta) not in (1, 2):
             raise ValueError("beta must have one (constant) or two (linear) entries")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be finite and non-negative")
+        _noise_scale(self.sigma, "sigma")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if self.noise_kind not in _NOISE_KINDS:
@@ -101,9 +103,7 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     """
     F = design.F
     n, k = F.shape
-    f = np.atleast_1d(np.asarray(feature))
-    if f.shape != (k,):
-        raise ValueError(f"feature vector must have length {k}")
+    f = _feature_values(feature, k)
     lam = np.eye(n) if corr is None else _check_correlation(corr, n)
     check_symmetric(lam)
 

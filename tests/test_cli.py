@@ -35,7 +35,7 @@ class TestParseCsv:
         assert float(np.sum(data.x)) == pytest.approx(50.6, rel=1e-12)
 
     def test_bad_cell_reports_location(self):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="not a number: 'abc'") as err:
             parse_csv("x,v\n1.7,abc\n")
         assert err.value.row == 2
         assert err.value.col == 2
@@ -57,7 +57,7 @@ class TestParseCsv:
             parse_csv("x,v\n")
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="row 2, column 2: non-finite value 'inf'"):
             parse_csv("1.0,2.0\n3.0,inf\n")
 
     @pytest.mark.parametrize(
@@ -112,6 +112,11 @@ class TestRendering:
             (0.25, "0.2"),   # half-even: ties go to the even digit
             (0.35, "0.4"),
             (2.0, "2.0"),
+            # Past the default 28-digit context: exact integer digits, one decimal.
+            (1e27, "1" + "0" * 27 + ".0"),
+            (-1e27, "-1" + "0" * 27 + ".0"),
+            (1.5e300, "15" + "0" * 299 + ".0"),
+            (5e-324, "0.0"),
         ],
     )
     def test_round_half_even(self, value, expected):
@@ -244,6 +249,71 @@ class TestFitCommand:
         assert len(doc["warnings"]) == 1
         assert "condition" in doc["warnings"][0]
         assert err.count("condition") == 1
+
+
+class TestNumericInputRules:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "FILE", "--sigma2", "nan"],
+            ["fit", "FILE", "--sigma2", "inf"],
+            ["fit", "FILE", "--at", "nan"],
+            ["simulate", "--beta1", "nan"],
+            ["simulate", "--beta2", "inf"],
+            ["simulate", "--sigma", "nan"],
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, capsys, example_csv_path, argv):
+        argv = [str(example_csv_path) if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_INPUT
+        assert f"non-finite value '{argv[-1]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", [[], ["--at", "4.6"]], ids=["no-at", "at"])
+    def test_negative_sigma2_exits_2(self, capsys, example_csv_path, at):
+        code, out, err = run_cli(capsys, "fit", str(example_csv_path), "--sigma2", "-1", *at)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "sigma2 must be finite and non-negative" in err
+
+    @pytest.mark.parametrize("command", ["fit", "complex-mean"])
+    def test_unix_timestamp_covariates_fit(self, capsys, tmp_path, command):
+        # Eleven daily timestamps: the Gram matrix is badly scaled but not degenerate.
+        p = tmp_path / "daily.csv"
+        p.write_text("".join(f"{1.7e9 + 86400 * i!r},{2.0 + 0.5 * i!r}\n" for i in range(11)))
+        code, out, err = run_cli(capsys, command, str(p), "--json")
+        assert code == EXIT_OK
+        assert "condition" in err
+        if command == "fit":
+            assert json.loads(out)["outputs"]["beta_hat"][1] == pytest.approx(0.5 / 86400, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "command,csv",
+        [
+            ("fit", "1,1e27\n2,2e27\n3,4e27\n"),
+            ("complex-mean", "1,1e27\n2,2e27\n3,4e27\n"),
+            ("zero-points", "1e27,1\n2e27,2\n3e27,3\n"),
+        ],
+    )
+    def test_huge_finite_values_render(self, capsys, tmp_path, command, csv):
+        p = tmp_path / "huge.csv"
+        p.write_text(csv)
+        code, out, _ = run_cli(capsys, command, str(p), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["outputs"]["rendered"]
+
+    @pytest.mark.parametrize("command", ["zero-points", "complex-mean"])
+    @pytest.mark.parametrize(
+        "csv", ["1e200,1\n2e200,2\n", "-2e154,1\n0,2\n2e154,3\n"], ids=["nan", "inf"]
+    )
+    def test_overflowing_moments_exit_3(self, capsys, tmp_path, command, csv):
+        p = tmp_path / "overflow.csv"
+        p.write_text(csv)
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == EXIT_DEGENERATE
+        assert out == ""
+        assert "no finite spread" in err
 
 
 class TestComplexMeanCommand:

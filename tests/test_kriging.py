@@ -12,9 +12,11 @@ from ckrig import (
     GramConditionWarning,
     LengthMismatch,
     Sample,
+    SimulationConfig,
     TrendBasis,
     UnsupportedComplexBasis,
     build_design,
+    constant_mean_variance,
     feature_vector,
     gls_beta,
     kkt_solve,
@@ -79,6 +81,13 @@ class TestSampleType:
         s = Sample(covariates=[1.0, 2.0], observations=[3.0, 4.0])
         with pytest.raises(ValueError):
             s.covariates[0] = 0.0
+
+    def test_caller_arrays_stay_writeable(self):
+        x, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        s = Sample(covariates=x, observations=v)
+        x[0] = v[0] = np.nan
+        assert s.covariates.tolist() == [1.0, 2.0]
+        assert s.observations.tolist() == [3.0, 4.0]
 
 
 class TestBuildDesign:
@@ -202,6 +211,15 @@ class TestKrigingWeights:
         with pytest.raises(LengthMismatch):
             kriging_weights(d, None, [1.0])
 
+    @pytest.mark.parametrize("solve", [kriging_weights, kkt_solve], ids=["closed-form", "kkt"])
+    @pytest.mark.parametrize("feature", [[np.nan, 2.0], [1.0, np.inf], [1.0, complex(2.0, np.nan)]])
+    def test_non_finite_feature_rejected(self, solve, feature):
+        d = build_design(TrendBasis.linear(), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="feature vector must be finite"):
+            solve(d, None, feature)
+        with pytest.raises(LengthMismatch):
+            solve(d, None, [1.0])
+
     def test_beta_hat_attached_with_observations(self, example_oracle):
         d = build_design(TrendBasis.linear(), EXAMPLE_X)
         sol = kriging_weights(d, None, [1.0, 4.6], obs=EXAMPLE_Y)
@@ -212,6 +230,32 @@ class TestKrigingWeights:
         d = build_design(TrendBasis.linear(), [1000.0, 1000.1, 1000.2])
         with pytest.warns(GramConditionWarning):
             kriging_weights(d, None, [1.0, 1000.1])
+
+
+class TestNonFiniteObservations:
+    # Checked on the O(k) result, not by scanning the observations.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "path", ["gls_beta", "obs-real", "obs-complex", "predict-real", "predict-complex"]
+    )
+    def test_rejected_at_every_position(self, bad, path):
+        d = build_design(TrendBasis.linear(), [0.0, 1.0, 2.0, 4.0])
+        feature = [1.0, 1.5 + 2.0j] if path.endswith("complex") else [1.0, 1.5]
+        for position in range(4):
+            obs = [1.0, 2.0, 3.0, 5.0]
+            obs[position] = bad
+            with pytest.raises(ValueError, match="observations must be finite"):
+                if path == "gls_beta":
+                    gls_beta(d, None, obs)
+                elif path.startswith("obs"):
+                    kriging_weights(d, None, feature, obs=obs)
+                else:
+                    predict(kriging_weights(d, None, feature), obs)
+
+    def test_overflowing_weighted_sum_rejected(self):
+        d = build_design(TrendBasis.constant(), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="must not overflow"):
+            gls_beta(d, None, [1e308, 1e308, 1e308])
 
 
 class TestPredict:
@@ -269,6 +313,20 @@ class TestVariances:
         sol = kriging_weights(d, None, [1.0])
         with pytest.raises(ValueError):
             trend_variance(sol, -1.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_noise_scale_rule(self, bad):
+        sol = kriging_weights(build_design(TrendBasis.constant(), [1.0, 2.0]), None, [1.0])
+        for call in (
+            lambda: trend_variance(sol, bad),
+            lambda: prediction_error_variance(sol, None, bad),
+            lambda: constant_mean_variance(2, bad),
+            lambda: SimulationConfig(
+                covariates=(1.0,), beta=(0.0,), sigma=bad, replicates=1, seed=0
+            ),
+        ):
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                call()
 
     def test_prediction_error_constant(self):
         d = build_design(TrendBasis.constant(), np.arange(1.0, 12.0))

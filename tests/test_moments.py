@@ -57,6 +57,11 @@ class TestIndexMoments:
         with pytest.raises(EmptySample):
             index_moments([])
 
+    @pytest.mark.parametrize("moments_of", [index_moments, zero_variance_points])
+    def test_matrix_rejected_not_flattened(self, moments_of):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            moments_of([[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestZeroVariancePoints:
     def test_integer_indices(self):
@@ -76,6 +81,14 @@ class TestZeroVariancePoints:
     def test_single_point_degenerate(self):
         with pytest.raises(DegenerateCovariates):
             zero_variance_points([1.0])
+
+    @pytest.mark.parametrize("x", [[1e200, 2e200], [-2e154, 0.0, 2e154]], ids=["nan", "inf"])
+    def test_overflowing_moments_degenerate(self, x):
+        # x² overflows, so σ_n is NaN or inf: an error, with no numpy warning first.
+        with pytest.raises(DegenerateCovariates):
+            zero_variance_points(x)
+        with pytest.raises(DegenerateCovariates):
+            complex_variance(Sample(covariates=x, observations=np.arange(len(x), dtype=float)))
 
 
 class TestComplexMean:
@@ -101,6 +114,21 @@ class TestComplexMean:
 
 
 class TestComplexVariance:
+    # The Gram condition grows with scale², so the warning may fire; it is not under test.
+    @pytest.mark.filterwarnings("ignore::ckrig.GramConditionWarning")
+    @pytest.mark.parametrize("scale", [1e7, 1e10, 1e100])
+    def test_large_covariate_scale(self, example_sample, scale):
+        # The pivot guard is relative to each diagonal entry, so scale does not read as degeneracy.
+        x, v = example_sample.covariates, example_sample.observations
+        beta = gls_beta(build_design(TrendBasis.linear(), x), None, v)
+        stats = complex_variance(example_sample)
+        beta_scaled = gls_beta(build_design(TrendBasis.linear(), scale * x), None, v)
+        stats_scaled = complex_variance(Sample(covariates=scale * x, observations=v))
+        assert np.max(np.abs(beta_scaled * [1.0, scale] - beta) / np.abs(beta)) <= 1e-12
+        for name in ("mean", "weighted_square", "variance"):
+            got, want = getattr(stats_scaled, name).plus, getattr(stats, name).plus
+            assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_example(self, example_sample, example_oracle):
         stats = complex_variance(example_sample)
         assert abs(stats.weighted_square.plus - example_oracle["wsq_plus"]) <= 1e-10

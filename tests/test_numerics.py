@@ -49,6 +49,13 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd(a, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1e7, 1e20, 1e150])
+    def test_pivot_guard_ignores_column_scale(self, scale):
+        # Each pivot is compared with its own diagonal entry, not with the largest one.
+        a = np.array([[11.0, 50.6 * scale], [50.6 * scale, 313.5 * scale * scale]])
+        x = solve_spd(a, np.array([1.0, 4.6 * scale]))
+        assert_allclose(x * [1.0, scale], [1.0 / 11.0, 0.0], atol=1e-12)
+
     @pytest.mark.parametrize(
         "a",
         [

@@ -167,6 +167,14 @@ class TestSimulateProcess:
                 covariates=(1.0,), beta=(0.0,), sigma=1.0, replicates=1, seed=0, noise_kind="levy"
             )
 
+    @pytest.mark.parametrize(
+        "field", [{"beta": (float("nan"), 1.0)}, {"covariates": (1.0, float("inf"))}]
+    )
+    def test_config_rejects_non_finite_vectors(self, field):
+        base = {"covariates": (1.0, 2.0), "beta": (0.0, 1.0), "sigma": 1.0}
+        with pytest.raises(ValueError, match="must be finite"):
+            SimulationConfig(**{**base, **field}, replicates=1, seed=0)
+
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
