@@ -39,6 +39,7 @@ from .kriging import (
     trend_variance,
 )
 from .moments import DegenerateCovariates, complex_variance, index_moments, zero_variance_points
+from .moments import _nondegenerate_moments, _roots
 from .numerics import NotPositiveDefinite
 from .validation import MonteCarloReport, SimulationConfig, SingularSystem, monte_carlo_mse
 
@@ -235,8 +236,8 @@ def cmd_complex_mean(args) -> dict:
 
 def cmd_zero_points(args) -> dict:
     data = _load_csv(args.file)
-    points = zero_variance_points(data.x)
-    mom = index_moments(data.x)
+    mom = _nondegenerate_moments(data.x)
+    points = _roots(mom)
     return {
         "command": "zero-points",
         "inputs": {"n": data.n},

@@ -16,6 +16,7 @@ deliberate.  A Hermitian form would be strictly positive at those roots.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -273,12 +274,21 @@ def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:
 
 
 def _warn_if_ill_conditioned(gram: np.ndarray) -> None:
-    # Called only after a successful solve: degenerate designs raise instead.
-    cond = np.linalg.cond(gram)
-    if GRAM_CONDITION_LIMIT < cond < np.inf:
+    # Called only after a successful solve: degenerate designs raise instead.  Judges the
+    # equilibrated matrix D^-1/2 G D^-1/2, D = diag(G), so rescaling a covariate never warns.
+    k = gram.shape[0]
+    if k == 1:
+        return
+    if k == 2:
+        r = abs(float(gram[0, 1])) / (math.sqrt(gram[0, 0]) * math.sqrt(gram[1, 1]))
+        cond = (1.0 + r) / (1.0 - r)
+    else:
+        scale = np.sqrt(np.diagonal(gram))
+        cond = np.linalg.cond(gram / np.outer(scale, scale))
+    if cond > GRAM_CONDITION_LIMIT:
         warnings.warn(
-            f"trend Gram matrix condition {cond:.2e} exceeds {GRAM_CONDITION_LIMIT:.0e}; "
-            "results may lose accuracy",
+            f"equilibrated trend Gram matrix condition {cond:.2e} exceeds "
+            f"{GRAM_CONDITION_LIMIT:.0e}; results may lose accuracy",
             GramConditionWarning,
             stacklevel=3,
         )

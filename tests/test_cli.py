@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +422,22 @@ class TestZeroPointsCommand:
         code, _, _ = run_cli(capsys, "zero-points", str(p))
         assert code == EXIT_DEGENERATE
 
+    def test_one_moment_pass(self, capsys, example_csv_path, monkeypatch):
+        calls = []
+
+        def spy(original):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(moments, "index_moments", spy(moments.index_moments))
+        monkeypatch.setattr(cli, "index_moments", spy(cli.index_moments))
+        code, _, _ = run_cli(capsys, "zero-points", str(example_csv_path), "--json")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestSimulateCommand:
     def test_zero_sigma_zero_moments(self, capsys):
@@ -478,3 +498,48 @@ def test_table_output_is_aligned(capsys, example_csv_path):
     assert all(matches)
     offsets = {len(m.group(1)) + len(m.group(2)) for m in matches}
     assert len(offsets) == 1
+
+
+# Runs in a fresh interpreter: records whether scipy is loaded after ``import ckrig`` and
+# after each command, and each command's exit code.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import ckrig
+loaded = {"import ckrig": "scipy" in sys.modules}
+from ckrig.cli import main
+csv, lam = sys.argv[1:]
+for argv in (
+    ["zero-points", csv],
+    ["complex-mean", csv, "--json"],
+    ["fit", csv, "--at", "4.6"],
+    ["simulate", "--replicates", "10"],
+    ["fit", csv, "--at", "4.6", "--lambda", lam],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv).replace(csv, "FILE").replace(lam, "LAM")] = [code, "scipy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_imported_only_for_order_n_solves(example_csv_path, tmp_path):
+    lam_file = tmp_path / "lam.txt"
+    lam_file.write_text("\n".join(" ".join(str(float(i == j)) for j in range(11)) for i in range(11)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(example_csv_path), str(lam_file)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "import ckrig": False,
+        "zero-points FILE": [EXIT_OK, False],
+        "complex-mean FILE --json": [EXIT_OK, False],
+        "fit FILE --at 4.6": [EXIT_OK, False],
+        "simulate --replicates 10": [EXIT_OK, False],
+        # A --lambda file has order n, so it must still reach LAPACK: the probe is not vacuous.
+        "fit FILE --at 4.6 --lambda LAM": [EXIT_OK, True],
+    }

@@ -477,3 +477,27 @@ def test_no_warning_for_well_conditioned_gram():
     with warnings.catch_warnings():
         warnings.simplefilter("error", GramConditionWarning)
         kriging_weights(d, None, [1.0, 4.6])
+
+
+
+@pytest.mark.parametrize(
+    "basis, x, feature",
+    [
+        (TrendBasis.linear(), np.array(EXAMPLE_X) * 1e7, [1.0, 4.6e7]),
+        (TrendBasis.linear(), np.array(EXAMPLE_X) * 1e100, [1.0, 4.6e100]),
+        # Raw Gram condition ~2.7e18, equilibrated ~24.
+        (
+            TrendBasis.columns(lambda t: 1.0, lambda t: 1e8 * t, lambda t: (t - 6.0) ** 2),
+            np.arange(1.0, 12.0),
+            [1.0, 4.6e8, 1.96],
+        ),
+    ],
+    ids=["linear-1e7", "linear-1e100", "columns-1e8"],
+)
+def test_rescaled_design_does_not_warn(basis, x, feature):
+    # The warning judges the equilibrated Gram matrix, which a column scale leaves alone.
+    d = build_design(basis, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GramConditionWarning)
+        gls_beta(d, None, EXAMPLE_Y)
+        kriging_weights(d, None, feature, obs=EXAMPLE_Y)

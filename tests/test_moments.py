@@ -114,7 +114,8 @@ class TestComplexMean:
 
 
 class TestComplexVariance:
-    # The Gram condition grows with scale², so the warning may fire; it is not under test.
+    # The Gram-condition warning ignores column scale (test_rescaled_design_does_not_warn
+    # checks that); this test is about accuracy only.
     @pytest.mark.filterwarnings("ignore::ckrig.GramConditionWarning")
     @pytest.mark.parametrize("scale", [1e7, 1e10, 1e100])
     def test_large_covariate_scale(self, example_sample, scale):

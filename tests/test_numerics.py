@@ -44,10 +44,78 @@ class TestSolveSpd:
             solve_spd(np.array([[-1.0]]), np.array([1.0]))
 
     def test_near_degenerate_pivot_raises(self):
-        # Second pivot lands below 1e-14 of the largest diagonal entry.
+        # Second pivot lands below 1e-14 of its own diagonal entry.
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
         with pytest.raises(NotPositiveDefinite):
             solve_spd(a, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "a, index",
+        [
+            ([[0.0]], 0),
+            ([[-1.0]], 0),
+            ([[np.nan]], 0),
+            ([[np.inf]], 0),
+            ([[0.0, 0.5], [0.5, 2.0]], 0),
+            ([[-1.0, 0.5], [0.5, 2.0]], 0),
+            ([[np.nan, 0.5], [0.5, 2.0]], 0),
+            ([[np.inf, 0.5], [0.5, 2.0]], 0),
+            ([[1.0, 1.0], [1.0, 1.0]], 1),
+            ([[2.0, np.nan], [np.nan, 2.0]], 1),
+            ([[2.0, 0.5], [0.5, np.nan]], 1),
+            ([[2.0, 0.5], [0.5, np.inf]], 1),
+            ([[2.0, np.inf], [np.inf, 2.0]], 1),
+            ([[1.0, 1.0], [1.0, 1.0 + 1e-16]], 1),
+            ([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]], 1),
+        ],
+    )
+    def test_small_guard_reports_failing_index(self, a, index):
+        a = np.array(a)
+        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite, match=f"index {index} "):
+            solve_spd(a, np.ones(a.shape[0]))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "b",
+        [[1, 2], [1.0, 2.0], np.float32([1.0, 2.0]), [1.0 + 2.0j, 3.0j], np.complex64([1.0j, 2.0])],
+        ids=["int", "float", "float32", "complex", "complex64"],
+    )
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_small_solve_keeps_shape_and_promoted_dtype(self, k, b, columns):
+        b = np.asarray(b)[:k]
+        if columns is not None:
+            b = np.repeat(b[:, None], columns, axis=1)
+        x = solve_spd(np.array([[4.0, 1.0], [1.0, 3.0]])[:k, :k], b)
+        assert x.shape == b.shape
+        assert x.dtype == np.result_type(b, float)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e7, 1e150])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("rhs", ["real", "complex", "real-2d", "complex-2d"])
+    def test_small_solve_agrees_with_lapack(self, scale, k, rhs):
+        from scipy.linalg import cho_factor, cho_solve
+
+        # Gram matrices of random linear designs with the covariate column scaled;
+        # the error bound uses the condition of the equilibrated matrix, which the
+        # scaling leaves alone (van der Sluis).
+        rng = np.random.default_rng(11)
+        d = np.array([1.0, scale])[-k:]
+        for _ in range(50):
+            x = rng.uniform(-10.0, 10.0, size=rng.integers(3, 30)) + rng.uniform(-100.0, 100.0)
+            F = np.column_stack([np.ones_like(x), x])[:, :k] * d
+            a = F.T @ F
+            a = 0.5 * (a + a.T)
+            rows = d[:, None] if rhs.endswith("2d") else d
+            b = rng.normal(size=(k, 3) if rhs.endswith("2d") else k)
+            if rhs.startswith("complex"):
+                b = b + 1j * rng.normal(size=b.shape)
+            b = b * rows
+            got, want = solve_spd(a, b), cho_solve(cho_factor(a, lower=True), b)
+            assert got.dtype == want.dtype
+            s = np.sqrt(np.diag(a))
+            cond = np.linalg.cond(a / s[:, None] / s[None, :])
+            bound = 8 * np.finfo(float).eps * cond * np.max(np.abs(want * rows))
+            assert np.max(np.abs((got - want) * rows)) <= bound
 
     @pytest.mark.parametrize("scale", [1e7, 1e20, 1e150])
     def test_pivot_guard_ignores_column_scale(self, scale):
