@@ -5,9 +5,11 @@ symmetric positive-definite systems that appear in the trend fits, and a
 two-branch container for complex results that come in conjugate pairs.
 Systems of order 1 and 2 (constant and linear trend Gram matrices) are solved
 by a written-out Cholesky; only larger ones go to LAPACK (``dpotrf``/``dpotrs``),
-and only they import scipy.  Both paths add the relative pivot guard that LAPACK
-lacks.  The package's one symmetry rule, ``check_symmetric`` with
-``SYMMETRY_RTOL``, lives here too.
+and only they import scipy.  Every order reads the lower triangle, and both
+paths add the relative pivot guard that LAPACK lacks.  The package's one
+symmetry rule, ``check_symmetric`` with ``SYMMETRY_RTOL``, lives here too; it
+decides order 2 from the one off-diagonal pair and scans larger matrices in
+square tiles, so it makes no temporary of the matrix's size.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ SYMMETRY_RTOL = 1e-12
 # A Cholesky pivot at or below this fraction of its own diagonal entry is treated
 # as degenerate (not positive definite); the ratio does not move when a column is rescaled.
 PIVOT_RTOL = 1e-14
+# Edge of the square tiles in which ``check_symmetric`` scans matrices of order > 2.
+_TILE = 128
 
 
 class NotPositiveDefinite(ValueError):
@@ -53,10 +57,40 @@ class ConjugatePair:
 
 
 def check_symmetric(a: np.ndarray) -> None:
-    """Raise ValueError unless max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a|; NaN passes."""
-    scale = float(np.max(np.abs(a)))
-    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    """Raise ValueError unless max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a| for square ``a``.
+
+    A matrix with a NaN or ±inf entry passes, so that the pivot guard of
+    ``solve_spd`` fails it.  Order 2 is decided from the one off-diagonal pair.
+    Larger matrices are scanned in ``_TILE``-square tiles, each upper tile
+    ``a[I, J]`` against ``a[J, I]ᵀ`` with both scales in the same pass, so the
+    scan makes no temporary larger than a tile.
+    """
+    n = a.shape[0]
+    if n <= 2:
+        if n == 2:
+            a00, a01, a10, a11 = a.ravel().tolist()
+            # A NaN or inf off the diagonal makes the difference NaN or the scale
+            # inf, so the comparison is false; Python's max may drop a NaN on the
+            # diagonal, which is therefore tested apart.
+            scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
+            if abs(a01 - a10) > SYMMETRY_RTOL * scale and math.isfinite(a00) and math.isfinite(a11):
+                raise _not_symmetric()
+        return
+    diff = scale = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = a[i : i + _TILE, j : j + _TILE]
+            lower = a[j : j + _TILE, i : i + _TILE].T
+            tile_scale = np.max(np.abs(upper))
+            if j > i:
+                # np.maximum keeps a NaN in either place; Python's max drops it in the second.
+                tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
+            if not np.isfinite(tile_scale):
+                return
+            scale = max(scale, float(tile_scale))
+            diff = max(diff, float(np.max(np.abs(upper - lower))))
+    if diff > SYMMETRY_RTOL * scale:
+        raise _not_symmetric()
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -65,6 +99,8 @@ def solve_spd(a, b) -> np.ndarray:
     Parameters
     ----------
     a : (k, k) array_like, real, symmetric within ``SYMMETRY_RTOL`` relative
+        (``check_symmetric``, a tiled scan that makes no k×k temporary).  The
+        factorization reads only the lower triangle, at every order.
     b : (k,) or (k, m) array_like, real or complex
 
     Returns
@@ -97,14 +133,16 @@ def solve_spd(a, b) -> np.ndarray:
         from scipy.linalg import cho_solve
         from scipy.linalg.lapack import dpotrf
 
-        lower, info = dpotrf(a, lower=True, clean=False)
+        # aᵀ is Fortran-ordered, so f2py copies it without transposing, and its
+        # upper triangle is a's lower one.
+        upper, info = dpotrf(a.T, lower=False, clean=False)
         # Written so that NaN pivots fail; past a LAPACK failure the factor is unfinished.
-        failed = ~(np.diagonal(lower) ** 2 > PIVOT_RTOL * np.diagonal(a))
+        failed = ~(np.diagonal(upper) ** 2 > PIVOT_RTOL * np.diagonal(a))
         if info > 0:
             failed[info - 1 :] = True
         if failed.any():
             raise _not_positive_definite(int(np.argmax(failed)))
-        return cho_solve((lower, True), b, check_finite=False)
+        return cho_solve((upper, False), b, check_finite=False)
 
     # Orders 1 and 2 written out.  Each division is a multiplication by the
     # reciprocal, as OpenBLAS's kernels do, which keeps the factor equal to dpotrf's.
@@ -125,6 +163,10 @@ def solve_spd(a, b) -> np.ndarray:
     x[1] = (b[1] - l10 * y0) * r11 * r11
     x[0] = (y0 - l10 * x[1]) * r00
     return x
+
+
+def _not_symmetric() -> ValueError:
+    return ValueError("matrix is not symmetric within tolerance")
 
 
 def _not_positive_definite(j: int) -> NotPositiveDefinite:

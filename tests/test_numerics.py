@@ -1,10 +1,19 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ckrig.numerics import ConjugatePair, NotPositiveDefinite, solve_spd
+from ckrig.numerics import (
+    SYMMETRY_RTOL,
+    ConjugatePair,
+    NotPositiveDefinite,
+    check_symmetric,
+    solve_spd,
+)
 
 
 class TestSolveSpd:
@@ -147,6 +156,17 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite, match="index 150 "):
             solve_spd(a, np.ones(200))
 
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_large_factor_reads_lower_triangle(self, n):
+        # The strict upper triangle is never read, so only the lower NaN is seen,
+        # and it is first used by the last pivot.
+        rng = np.random.default_rng(5)
+        m = rng.uniform(-1.0, 1.0, size=(n, n))
+        a = m.T @ m + np.eye(n)
+        a[n - 1, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite, match=f"index {n - 1} "):
+            solve_spd(a, np.ones(n))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             solve_spd(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.0, 1.0]))
@@ -169,6 +189,74 @@ class TestSolveSpd:
         x = solve_spd(a, b)
         residual = np.max(np.abs(a @ x - b))
         assert residual <= 1e-10 * max(np.max(np.abs(b)), 1e-30)
+
+
+def _symmetric_by_rule(a):
+    """The symmetry rule written straight: NaN and ±inf entries pass."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.max(np.abs(a))
+        return not (scale > 0.0 and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale)
+
+
+def _symmetry_cases(n):
+    """Perturbations of one or two entries of a symmetric matrix of order ``n``.
+
+    The positions cover both triangles, the diagonal, the first tile and the
+    last (partial) one, and pairs of tiles far apart.
+    """
+    spots = {(1, 0), (0, 1), (0, 0), (n - 1, n - 1), (n - 1, n - 2), (n - 2, n - 1), (n - 1, 0), (0, n - 1)}
+    spots = sorted((i, j) for i, j in spots if 0 <= min(i, j) and max(i, j) < n)
+    singles = [("add", r) for r in (1e-13, -1e-13, 1e-11, -1e-11)] + [("shift", 1.0)]
+    singles += [("set", v) for v in (np.nan, np.inf, -np.inf)]
+    for spot, change in itertools.product(spots, singles):
+        yield [(spot, change)]
+    # A NaN next to a gross asymmetry elsewhere, in either order of the scan: the matrix passes.
+    for p, q in itertools.permutations(spots, 2):
+        yield [(p, ("set", np.nan)), (q, ("shift", 1.0))]
+    # Two asymmetries under the bound whose sum is over it: the rule takes the largest.
+    for p, q in itertools.combinations(spots, 2):
+        yield [(p, ("add", 4e-13)), (q, ("add", 8e-13))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 257, 300])
+@pytest.mark.parametrize("base", ["random", "zero", "tiny", "huge"])
+def test_check_symmetric_agrees_with_rule(n, base):
+    rng = np.random.default_rng(n)
+    m = rng.uniform(-1.0, 1.0, size=(n, n))
+    sym = {"random": 1.0, "zero": 0.0, "tiny": 1e-300, "huge": 1e300}[base] * (m + m.T)
+    # Relative perturbations of the zero matrix are taken against 1.
+    scale = float(np.max(np.abs(sym))) or 1.0
+    mismatches = []
+    for case in [[]] + list(_symmetry_cases(n)):
+        a = sym.copy()
+        for (i, j), (how, v) in case:
+            if how == "add":
+                a[i, j] += v * scale
+            elif how == "shift":
+                a[i, j] += v
+            else:
+                a[i, j] = v
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                check_symmetric(a)
+            passed = True
+        except ValueError as exc:
+            assert str(exc) == "matrix is not symmetric within tolerance"
+            passed = False
+        if passed != _symmetric_by_rule(a):
+            mismatches.append(case)
+    assert not mismatches
+
+
+def test_check_symmetric_makes_no_matrix_sized_temporary():
+    a = np.eye(1000)
+    tracemalloc.start()
+    try:
+        check_symmetric(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 finite_complex = st.builds(
