@@ -7,7 +7,8 @@ zero-variance points), and ``simulate`` (seeded Monte-Carlo error moments).
 Output is an aligned table by default or a single JSON document with
 ``--json``; diagnostics go to stderr.
 
-Exit codes: 0 success, 2 input or parse errors, 3 degenerate mathematics.
+Exit codes: 0 success, 2 input or parse errors (and a result that overflows
+double precision), 3 degenerate mathematics.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from math import isfinite
-from typing import Optional
 
 import numpy as np
 
 from .kriging import (
     DegenerateDesign,
-    EmptySample,
     Sample,
     TrendBasis,
     _noise_scale,
@@ -38,8 +36,8 @@ from .kriging import (
     predict,
     trend_variance,
 )
-from .moments import DegenerateCovariates, complex_variance, index_moments, zero_variance_points
-from .moments import _nondegenerate_moments, _roots
+from .moments import DegenerateCovariates, complex_variance, zero_variance_points
+from .moments import _nondegenerate_moments
 from .numerics import NotPositiveDefinite
 from .validation import MonteCarloReport, SimulationConfig, SingularSystem, monte_carlo_mse
 
@@ -49,6 +47,7 @@ EXIT_DEGENERATE = 3
 
 # Wide enough to quantize any finite float to one decimal: 309 integer digits plus one.
 _ONE_DECIMAL = Context(prec=400, rounding=ROUND_HALF_EVEN)
+_NOT_FINITE = "result is not finite; it overflows double precision"
 
 
 class ParseError(ValueError):
@@ -58,19 +57,6 @@ class ParseError(ValueError):
         super().__init__(f"row {row}, column {col}: {message}")
         self.row = row
         self.col = col
-
-
-@dataclass(frozen=True)
-class CsvSample:
-    """Two-column numeric CSV contents, row order preserved."""
-
-    header: Optional[tuple]
-    x: np.ndarray
-    v: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.x.size
 
 
 def _parse_cell(cell: str) -> float:
@@ -84,8 +70,9 @@ def _parse_cell(cell: str) -> float:
     return value
 
 
-def parse_csv(text: str) -> CsvSample:
-    """Parse a two-column numeric CSV, skipping blank rows; a non-numeric first row is a header."""
+def parse_csv(text: str) -> Sample:
+    """Parse a two-column numeric CSV into a ``Sample``, skipping blank rows and a header:
+    a first row with a cell that is not a float literal."""
     reader = csv.reader(io.StringIO(text))
     rows, line = [], 1
     for row in reader:
@@ -97,16 +84,14 @@ def parse_csv(text: str) -> CsvSample:
     if not rows:
         raise ParseError("empty input", row=1, col=1)
 
-    header = None
     header_row, first = rows[0]
     try:
         # Only a cell that is not a float literal makes a header; "nan" is a bad data cell.
         for cell in first:
             float(cell)
     except ValueError:
-        header = tuple(first)
-        if len(header) != 2:
-            raise ParseError(f"expected 2 columns, found {len(header)}", row=header_row, col=1)
+        if len(first) != 2:
+            raise ParseError(f"expected 2 columns, found {len(first)}", row=header_row, col=1)
         rows = rows[1:]
 
     xs, vs = [], []
@@ -123,11 +108,13 @@ def parse_csv(text: str) -> CsvSample:
         vs.append(pair[1])
     if not xs:
         raise ParseError("no data rows", row=header_row + 1, col=1)
-    return CsvSample(header=header, x=np.asarray(xs), v=np.asarray(vs))
+    return Sample(covariates=xs, observations=vs)
 
 
 def render_one_decimal(value: float) -> str:
-    """One-decimal rendering with round-half-even ties, e.g. 6.1454 -> '6.1'."""
+    """One-decimal rendering with round-half-even ties, e.g. 6.1454 -> '6.1'; finite values only."""
+    if not isfinite(value):
+        raise ValueError(_NOT_FINITE)
     return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), context=_ONE_DECIMAL))
 
 
@@ -144,15 +131,16 @@ def _pair_doc(pair, branch: str) -> dict:
     return doc
 
 
-def _load_csv(path: str) -> CsvSample:
-    with open(path, "r", encoding="utf-8") as handle:
+def _load_csv(path: str) -> Sample:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise make row 1 a header.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_csv(handle.read())
 
 
 def _load_lambda(source: str, n: int):
     if source == "identity":
         return None
-    with open(source, "r", encoding="utf-8") as handle:
+    with open(source, "r", encoding="utf-8-sig") as handle:
         values = handle.read().split()
     if len(values) != n * n:
         raise ValueError(
@@ -166,14 +154,16 @@ def _load_lambda(source: str, n: int):
 
 def cmd_fit(args) -> dict:
     _noise_scale(args.sigma2, "sigma2")
-    data = _load_csv(args.file)
+    sample = _load_csv(args.file)
     basis = TrendBasis.constant() if args.basis == "constant" else TrendBasis.linear()
-    lam = _load_lambda(args.lam, data.n)
-    design = build_design(basis, data.x)
+    lam = _load_lambda(args.lam, sample.n)
+    design = build_design(basis, sample.covariates)
     if args.at is None:
-        beta = gls_beta(design, lam, data.v)
+        beta = gls_beta(design, lam, sample.observations)
     else:
-        solution = kriging_weights(design, lam, feature_vector(basis, args.at), obs=data.v)
+        solution = kriging_weights(
+            design, lam, feature_vector(basis, args.at), obs=sample.observations
+        )
         beta = solution.beta_hat
 
     outputs = {
@@ -185,12 +175,12 @@ def cmd_fit(args) -> dict:
             "point": float(args.at),
             "variance_factor": _complex_doc(solution.variance_factor),
             "trend_variance": _complex_doc(trend_variance(solution, args.sigma2)),
-            "prediction": _complex_doc(predict(solution, data.v)),
+            "prediction": _complex_doc(predict(solution, sample.observations)),
         }
     return {
         "command": "fit",
         "inputs": {
-            "n": data.n,
+            "n": sample.n,
             "basis": args.basis,
             "sigma2": float(args.sigma2),
             "lambda": "identity" if lam is None else "file",
@@ -201,8 +191,7 @@ def cmd_fit(args) -> dict:
 
 
 def cmd_complex_mean(args) -> dict:
-    data = _load_csv(args.file)
-    sample = Sample(covariates=data.x, observations=data.v)
+    sample = _load_csv(args.file)
     stats = complex_variance(sample)
     mom = stats.moments
     branch = args.branch
@@ -219,10 +208,10 @@ def cmd_complex_mean(args) -> dict:
 
     return {
         "command": "complex-mean",
-        "inputs": {"n": data.n, "basis": "linear", "branch": branch},
+        "inputs": {"n": sample.n, "basis": "linear", "branch": branch},
         "outputs": {
             "index_moments": {"m_n": mom.m_n, "m_sn": mom.m_sn, "sigma_n": mom.sigma_n},
-            "zero_variance_points": _pair_doc(stats.zero_variance_points, branch),
+            "zero_variance_points": _pair_doc(mom.zero_variance_points, branch),
             "mean": _pair_doc(stats.mean, branch),
             "weighted_square": _pair_doc(stats.weighted_square, branch),
             "variance": _pair_doc(stats.variance, branch),
@@ -235,17 +224,16 @@ def cmd_complex_mean(args) -> dict:
 
 
 def cmd_zero_points(args) -> dict:
-    data = _load_csv(args.file)
-    mom = _nondegenerate_moments(data.x)
-    points = _roots(mom)
+    sample = _load_csv(args.file)
+    mom = _nondegenerate_moments(sample.covariates)
     return {
         "command": "zero-points",
-        "inputs": {"n": data.n},
+        "inputs": {"n": sample.n},
         "outputs": {
             "m_n": mom.m_n,
             "m_sn": mom.m_sn,
             "sigma_n": mom.sigma_n,
-            "points": _pair_doc(points, "both"),
+            "points": _pair_doc(mom.zero_variance_points, "both"),
             "rendered": {
                 "m_n": render_one_decimal(mom.m_n),
                 "m_sn": render_one_decimal(mom.m_sn),
@@ -393,6 +381,14 @@ def _emit_table(doc: dict, stream) -> None:
         print(f"{key.ljust(width)}  {value}", file=stream)
 
 
+def _json_text(doc: dict) -> str:
+    """The document as strict JSON; a NaN or infinity anywhere in it is a ValueError."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(_NOT_FINITE) from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -402,20 +398,18 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             doc = args.handler(args)
         doc["warnings"] = [str(w.message) for w in caught]
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        text = _json_text(doc)
     except (DegenerateDesign, DegenerateCovariates, NotPositiveDefinite, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OSError, UnicodeDecodeError, EmptySample, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     for message in doc["warnings"]:
         print(f"warning: {message}", file=sys.stderr)
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(text)
     else:
         _emit_table(doc, sys.stdout)
     return EXIT_OK

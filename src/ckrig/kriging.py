@@ -108,21 +108,12 @@ class TrendBasis:
     def columns(cls, *functions: Callable[[float], float]) -> "TrendBasis":
         return cls("columns", tuple(functions))
 
-    @property
-    def k(self) -> int:
-        if self.kind == "constant":
-            return 1
-        if self.kind == "linear":
-            return 2
-        return len(self.functions)
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
     """The n-by-k matrix of trend basis values at the sample covariates."""
 
     F: np.ndarray
-    basis: TrendBasis
 
     @property
     def n(self) -> int:
@@ -149,16 +140,13 @@ class KrigingSolution:
     variance_factor: complex
     beta_hat: Optional[np.ndarray] = None
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
 
 def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
     """Evaluate the trend basis at every covariate.
 
     Constant gives a column of ones, linear the columns [1, x]; a columns
-    basis evaluates each user function per covariate.
+    basis evaluates each user function per covariate, and its values must be
+    finite.
     """
     x = _real_vector(covariates, "covariates")
     if basis.kind == "constant":
@@ -167,8 +155,10 @@ def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
         F = np.column_stack([np.ones(x.size), x])
     else:
         F = np.column_stack([[float(fn(xi)) for xi in x] for fn in basis.functions])
+        if not np.isfinite(F).all():
+            raise ValueError("basis values must be finite")
     F.flags.writeable = False
-    return DesignMatrix(F=F, basis=basis)
+    return DesignMatrix(F=F)
 
 
 def feature_vector(basis: TrendBasis, point) -> np.ndarray:

@@ -37,11 +37,19 @@ class DegenerateCovariates(ValueError):
 
 @dataclass(frozen=True)
 class IndexMoments:
-    """First and second covariate moments and their standard deviation."""
+    """First and second covariate moments and their standard deviation.
+
+    The zero-variance points m_n ± i·σ_n are derived from them, not stored.
+    """
 
     m_n: float
     m_sn: float
     sigma_n: float
+
+    @property
+    def zero_variance_points(self) -> ConjugatePair:
+        """The conjugate roots m_n ± i·σ_n of the trend-variance quadratic."""
+        return ConjugatePair(complex(self.m_n, self.sigma_n))
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,8 @@ class ComplexMoments:
     ``weighted_square`` is the kriging-weighted square of the observations
     at the zero-variance point; ``real_se`` and ``imag_se`` are the standard
     errors of the real and imaginary parts of the mean (the imaginary one is
-    |slope|·σ_n, reported as a magnitude).  ``moments``,
-    ``zero_variance_points`` and ``slope`` come from the same moment pass.
+    |slope|·σ_n, reported as a magnitude).  ``moments`` (which carries the
+    zero-variance points) and ``slope`` come from the same moment pass.
     """
 
     mean: ConjugatePair
@@ -61,7 +69,6 @@ class ComplexMoments:
     real_se: float
     imag_se: float
     moments: IndexMoments
-    zero_variance_points: ConjugatePair
     slope: float
 
 
@@ -85,21 +92,18 @@ def _nondegenerate_moments(covariates) -> IndexMoments:
     return mom
 
 
-def _roots(mom: IndexMoments) -> ConjugatePair:
-    return ConjugatePair(plus=complex(mom.m_n, mom.sigma_n), minus=complex(mom.m_n, -mom.sigma_n))
-
-
 def zero_variance_points(covariates) -> ConjugatePair:
     """The conjugate roots m_n ± i·σ_n of the trend-variance quadratic."""
-    return _roots(_nondegenerate_moments(covariates))
+    return _nondegenerate_moments(covariates).zero_variance_points
 
 
-def _mean_components(sample: Sample) -> tuple[IndexMoments, float, float]:
-    """(moments, v̄, mean(x·v) - m_n·v̄) shared by the mean and the slope."""
+def _mean_components(sample: Sample) -> tuple[IndexMoments, ConjugatePair, float]:
+    """(moments, complex mean v̄ + i·cov/σ_n, cov = mean(x·v) - m_n·v̄), one pass."""
     mom = _nondegenerate_moments(sample.covariates)
     vbar = float(np.mean(sample.observations))
     xvbar = float(np.mean(sample.covariates * sample.observations))
-    return mom, vbar, xvbar - mom.m_n * vbar
+    cov = xvbar - mom.m_n * vbar
+    return mom, ConjugatePair(complex(vbar, cov / mom.sigma_n)), cov
 
 
 def complex_mean(sample: Sample) -> ConjugatePair:
@@ -109,8 +113,7 @@ def complex_mean(sample: Sample) -> ConjugatePair:
     complex-point kriging weights to the observations.  The real part is the
     arithmetic mean of the observations, exactly.
     """
-    mom, vbar, cov = _mean_components(sample)
-    return ConjugatePair.from_plus(complex(vbar, cov / mom.sigma_n))
+    return _mean_components(sample)[1]
 
 
 def complex_variance(sample: Sample) -> ComplexMoments:
@@ -120,22 +123,20 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     squared observations; the plus branch of the variance pairs with the
     plus branch of the mean (one consistent evaluation point throughout).
     """
-    mom, vbar, cov = _mean_components(sample)
-    mean = ConjugatePair.from_plus(complex(vbar, cov / mom.sigma_n))
-    points = _roots(mom)
+    mom, mean, cov = _mean_components(sample)
     basis = TrendBasis.linear()
     design = build_design(basis, sample.covariates)
-    solution = kriging_weights(design, None, feature_vector(basis, points.plus))
+    solution = kriging_weights(design, None, feature_vector(basis, mom.zero_variance_points.plus))
     wsq_plus = complex(np.dot(solution.weights, sample.observations**2))
 
     return ComplexMoments(
         mean=mean,
-        variance=ConjugatePair.from_plus(wsq_plus - mean.plus**2),
-        weighted_square=ConjugatePair.from_plus(wsq_plus),
+        # A product, not ``**2``: complex powers raise OverflowError where products give inf.
+        variance=ConjugatePair(wsq_plus - mean.plus * mean.plus),
+        weighted_square=ConjugatePair(wsq_plus),
         real_se=real_standard_error(sample),
         imag_se=abs(mean.plus.imag),
         moments=mom,
-        zero_variance_points=points,
         slope=cov / (mom.sigma_n * mom.sigma_n),
     )
 

@@ -2,7 +2,8 @@
 
 Everything here is shared plumbing: a guarded Cholesky solve for the
 symmetric positive-definite systems that appear in the trend fits, and a
-two-branch container for complex results that come in conjugate pairs.
+container for complex results that come in conjugate pairs, which stores the
+plus branch and derives the minus branch as its conjugate.
 Systems of order 1 and 2 (constant and linear trend Gram matrices) are solved
 by a written-out Cholesky; only larger ones go to LAPACK (``dpotrf``/``dpotrs``),
 and only they import scipy.  Every order reads the lower triangle, and both
@@ -34,26 +35,18 @@ class NotPositiveDefinite(ValueError):
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """A complex value together with its opposite-branch twin.
+    """A complex result and its conjugate twin, stored by the plus branch.
 
     ``plus`` is the branch built with the positive imaginary contribution;
-    for real input data ``minus`` is exactly its complex conjugate.
+    for real input data the other branch is exactly its complex conjugate,
+    so ``minus`` is derived rather than stored.
     """
 
     plus: complex
-    minus: complex
 
-    @classmethod
-    def from_plus(cls, value: complex) -> "ConjugatePair":
-        value = complex(value)
-        return cls(plus=value, minus=value.conjugate())
-
-    def branch(self, name: str) -> complex:
-        if name == "plus":
-            return self.plus
-        if name == "minus":
-            return self.minus
-        raise ValueError(f"unknown branch {name!r}")
+    @property
+    def minus(self) -> complex:
+        return self.plus.conjugate()
 
 
 def check_symmetric(a: np.ndarray) -> None:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckrig import cli, moments
 from ckrig.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, ParseError, main, parse_csv, render_one_decimal
-from ckrig.kriging import TrendBasis, build_design, gls_beta
+from ckrig.kriging import Sample, TrendBasis, build_design, gls_beta
 from conftest import DATA_DIR, bad_correlation
 
 
@@ -24,19 +28,25 @@ class TestParseCsv:
     def test_small_with_header(self):
         data = parse_csv("x,v\n1.7,3.2\n2.1,3.9\n")
         assert data.n == 2
-        assert data.header == ("x", "v")
-        assert data.x.tolist() == [1.7, 2.1]
-        assert data.v.tolist() == [3.2, 3.9]
+        assert data.covariates.tolist() == [1.7, 2.1]
+        assert data.observations.tolist() == [3.2, 3.9]
 
     def test_headerless(self):
         data = parse_csv("1.0,2.0\n3.0,4.0\n")
-        assert data.header is None
         assert data.n == 2
+        assert data.covariates.tolist() == [1.0, 3.0]
+        assert data.observations.tolist() == [2.0, 4.0]
+
+    def test_returns_read_only_sample(self):
+        data = parse_csv("x,v\n1.7,3.2\n2.1,3.9\n")
+        assert isinstance(data, Sample)
+        assert not data.covariates.flags.writeable
+        assert not data.observations.flags.writeable
 
     def test_example_file(self, example_csv_path):
         data = parse_csv(example_csv_path.read_text())
         assert data.n == 11
-        assert float(np.sum(data.x)) == pytest.approx(50.6, rel=1e-12)
+        assert float(np.sum(data.covariates)) == pytest.approx(50.6, rel=1e-12)
 
     def test_bad_cell_reports_location(self):
         with pytest.raises(ParseError, match="not a number: 'abc'") as err:
@@ -75,9 +85,9 @@ class TestParseCsv:
     )
     def test_blank_lines_skipped(self, text):
         data = parse_csv(text)
-        assert data.header == ("x", "v")
-        assert data.x.tolist() == [1.0, 3.0]
-        assert data.v.tolist() == [2.0, 4.0]
+        assert data.n == 2
+        assert data.covariates.tolist() == [1.0, 3.0]
+        assert data.observations.tolist() == [2.0, 4.0]
 
     def test_error_row_counts_blank_lines(self):
         with pytest.raises(ParseError) as err:
@@ -101,8 +111,8 @@ class TestParseCsv:
 
     def test_row_order_preserved(self):
         data = parse_csv("9,1\n1,9\n5,5\n")
-        assert data.x.tolist() == [9.0, 1.0, 5.0]
-        assert data.v.tolist() == [1.0, 9.0, 5.0]
+        assert data.covariates.tolist() == [9.0, 1.0, 5.0]
+        assert data.observations.tolist() == [1.0, 9.0, 5.0]
 
 
 class TestRendering:
@@ -166,7 +176,8 @@ class TestFitCommand:
         data = parse_csv(example_csv_path.read_text())
         lam, argv = None, []
         if dense:
-            lam = np.exp(-np.abs(data.x[:, None] - data.x[None, :]) / 2.0)
+            x = data.covariates
+            lam = np.exp(-np.abs(x[:, None] - x[None, :]) / 2.0)
             lam_file = tmp_path / "lam.txt"
             lam_file.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in lam))
             argv = ["--lambda", str(lam_file)]
@@ -174,7 +185,7 @@ class TestFitCommand:
             capsys, "fit", str(example_csv_path), "--basis", "linear", "--at", "4.6", "--json", *argv
         )
         assert code == EXIT_OK
-        expected = gls_beta(build_design(TrendBasis.linear(), data.x), lam, data.v)
+        expected = gls_beta(build_design(TrendBasis.linear(), data.covariates), lam, data.observations)
         assert json.loads(out)["outputs"]["beta_hat"] == [float(b) for b in expected]
 
     def test_overflowing_gram_exits_3(self, capsys, tmp_path):
@@ -320,6 +331,59 @@ class TestNumericInputRules:
         assert "no finite spread" in err
 
 
+class TestNonFiniteResults:
+    """A result past double precision is an input error (exit 2), never NaN/Infinity or a crash."""
+
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "table"])
+    @pytest.mark.parametrize(
+        "argv,csv",
+        [
+            (["fit", "FILE", "--at", "1e160"], None),
+            (["complex-mean", "FILE"], "1,1e300\n2,-1e300\n3,1e300\n"),
+            (["simulate", "--sigma", "1e300", "--replicates", "10"], None),
+        ],
+        ids=["fit-at", "complex-mean", "simulate"],
+    )
+    def test_overflowing_result_exits_2(self, capsys, example_csv_path, tmp_path, argv, csv, fmt):
+        path = example_csv_path
+        if csv is not None:
+            path = tmp_path / "overflow.csv"
+            path.write_text(csv)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, *fmt)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.splitlines() == ["error: result is not finite; it overflows double precision"]
+
+    def test_rendering_rejects_non_finite(self):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="not finite"):
+                render_one_decimal(value)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("header", [False, True], ids=["headerless", "header"])
+    def test_bom_csv_matches_plain(self, capsys, example_csv_path, tmp_path, header):
+        rows = [line for line in example_csv_path.read_text().splitlines() if line.strip()]
+        if not header:
+            rows = rows[1:]
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + "\n".join(rows) + "\n", encoding="utf-8")
+        _, plain, _ = run_cli(capsys, "fit", str(example_csv_path), "--json")
+        code, out, _ = run_cli(capsys, "fit", str(bom), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["n"] == 11
+        assert out == plain
+
+    def test_bom_lambda_file_accepted(self, capsys, example_csv_path, tmp_path):
+        lam_file = tmp_path / "lam.txt"
+        identity = "\n".join(" ".join(str(float(i == j)) for j in range(11)) for i in range(11))
+        lam_file.write_text("\ufeff" + identity, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "fit", str(example_csv_path), "--lambda", str(lam_file), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["lambda"] == "file"
+
+
 class TestComplexMeanCommand:
     def test_example_rendered_values(self, capsys, example_csv_path):
         code, out, _ = run_cli(capsys, "complex-mean", str(example_csv_path), "--json")
@@ -383,7 +447,7 @@ class TestComplexMeanCommand:
             return wrapped
 
         monkeypatch.setattr(moments, "index_moments", spy(moments.index_moments))
-        monkeypatch.setattr(cli, "index_moments", spy(cli.index_moments))
+        monkeypatch.setattr(cli, "index_moments", spy(moments.index_moments), raising=False)
         code, _, _ = run_cli(capsys, "complex-mean", str(example_csv_path), "--json")
         assert code == EXIT_OK
         assert len(calls) == 1
@@ -433,7 +497,7 @@ class TestZeroPointsCommand:
             return wrapped
 
         monkeypatch.setattr(moments, "index_moments", spy(moments.index_moments))
-        monkeypatch.setattr(cli, "index_moments", spy(cli.index_moments))
+        monkeypatch.setattr(cli, "index_moments", spy(moments.index_moments), raising=False)
         code, _, _ = run_cli(capsys, "zero-points", str(example_csv_path), "--json")
         assert code == EXIT_OK
         assert len(calls) == 1
@@ -543,3 +607,43 @@ def test_scipy_imported_only_for_order_n_solves(example_csv_path, tmp_path):
         # A --lambda file has order n, so it must still reach LAPACK: the probe is not vacuous.
         "fit FILE --at 4.6 --lambda LAM": [EXIT_OK, True],
     }
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
+def _optional_flags(data, *flags):
+    return [f"{flag}={data.draw(_FINITE)!r}" for flag in flags if data.draw(st.booleans())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_output_contract(tmp_path_factory, data):
+    """Any finite input: exit 0, 2 or 3 and no escaping exception; exit 0 prints strict JSON."""
+    command = data.draw(st.sampled_from(("fit", "complex-mean", "zero-points", "simulate")))
+    if command == "simulate":
+        argv = [command, f"--replicates={data.draw(st.integers(1, 50))}"]
+        argv += _optional_flags(data, "--sigma", "--beta1", "--beta2")
+        if data.draw(st.booleans()):
+            argv.append(f"--at={complex(data.draw(_FINITE), data.draw(_FINITE))!r}")
+    else:
+        rows = data.draw(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=12))
+        path = tmp_path_factory.getbasetemp() / "contract.csv"
+        path.write_text("".join(f"{x!r},{v!r}\n" for x, v in rows))
+        argv = [command, str(path)]
+        if command == "fit":
+            argv.append(f"--basis={data.draw(st.sampled_from(('constant', 'linear')))}")
+            argv += _optional_flags(data, "--at", "--sigma2")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE)
+    if code == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("error: ")

@@ -113,6 +113,12 @@ class TestBuildDesign:
         with pytest.raises(EmptySample):
             build_design(TrendBasis.linear(), [])
 
+    def test_non_finite_columns_basis_values_rejected(self):
+        # log(t - 1) is -inf at t = 1: the design, not the observations, is at fault.
+        basis = TrendBasis.columns(lambda t: 1.0, lambda t: np.log(t - 1.0))
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="basis values must be finite"):
+            build_design(basis, [1.0, 2.0, 3.0, 4.0])
+
 
 class TestFeatureVector:
     def test_linear_real(self):

@@ -74,6 +74,9 @@ class TestZeroVariancePoints:
         expected = complex(example_oracle["m_n"], example_oracle["sigma_n"])
         assert abs(pts.plus - expected) <= 1e-13
 
+    def test_carried_by_the_index_moments(self):
+        assert index_moments(EXAMPLE_X).zero_variance_points == zero_variance_points(EXAMPLE_X)
+
     def test_constant_covariates_degenerate(self):
         with pytest.raises(DegenerateCovariates):
             zero_variance_points([2.0, 2.0, 2.0])
@@ -230,7 +233,7 @@ def test_mean_matches_kriging_predictor_branchwise(s):
     design = build_design(TrendBasis.linear(), s.covariates)
     for branch, point in (("plus", pts.plus), ("minus", pts.minus)):
         sol = kriging_weights(design, None, feature_vector(TrendBasis.linear(), point))
-        assert abs(pair.branch(branch) - predict(sol, s.observations)) <= 1e-10
+        assert abs(getattr(pair, branch) - predict(sol, s.observations)) <= 1e-10
 
 
 @settings(max_examples=50, deadline=None)

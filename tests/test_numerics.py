@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -282,13 +284,14 @@ def test_conjugate_involution_exact(z):
 
 class TestConjugatePair:
     def test_from_plus_is_exact_conjugate(self):
-        pair = ConjugatePair.from_plus(1.25 - 3.5j)
+        pair = ConjugatePair(1.25 - 3.5j)
         assert pair.minus == (1.25 + 3.5j)
         assert pair.plus.conjugate() == pair.minus
 
-    def test_branch_accessor(self):
-        pair = ConjugatePair.from_plus(2.0 + 1.0j)
-        assert pair.branch("plus") == pair.plus
-        assert pair.branch("minus") == pair.minus
-        with pytest.raises(ValueError):
-            pair.branch("sideways")
+    def test_stores_the_plus_branch_only(self):
+        assert [f.name for f in dataclasses.fields(ConjugatePair)] == ["plus"]
+
+    def test_minus_of_a_real_value_has_negative_zero_imaginary_part(self):
+        minus = ConjugatePair(4.6 + 0j).minus
+        assert minus == 4.6
+        assert math.copysign(1.0, minus.imag) == -1.0
