@@ -402,7 +402,7 @@ def main(argv=None) -> int:
     except (DegenerateDesign, DegenerateCovariates, NotPositiveDefinite, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import NotPositiveDefinite, check_symmetric, solve_spd
+from .numerics import _real_array, check_symmetric, solve_spd
 
 # Warn (do not fail) when the trend Gram matrix is worse conditioned than this.
 GRAM_CONDITION_LIMIT = 1e8
@@ -61,7 +61,7 @@ class Sample:
     def __post_init__(self):
         for name in ("covariates", "observations"):
             # A private copy: freezing the caller's own array would make it read-only.
-            values = _real_vector(np.array(getattr(self, name), dtype=float), name)
+            values = _real_vector(np.array(getattr(self, name)), name)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         x, v = self.covariates, self.observations
@@ -186,8 +186,8 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
 
 
 def _real_vector(values, what: str) -> np.ndarray:
-    """The sample-vector rule: ``values`` as a non-empty, one-dimensional, finite float array."""
-    x = np.atleast_1d(np.asarray(values, dtype=float))
+    """The sample-vector rule: ``values`` as a non-empty, one-dimensional, finite real array."""
+    x = np.atleast_1d(_real_array(values, what))
     if x.size == 0:
         raise EmptySample(f"no {what}")
     if x.ndim != 1:
@@ -215,9 +215,9 @@ def _noise_scale(value, what: str):
 
 
 def _weigh_observations(weights: np.ndarray, obs):
-    """The observation rule: ``weights @ v`` for v of matching length, raising unless finite.
+    """The observation rule: ``weights @ v`` for real v of matching length, raising unless finite.
     A non-finite v makes every entry non-finite (0·inf is NaN), so the O(k) result is checked."""
-    v = np.atleast_1d(np.asarray(obs, dtype=float))
+    v = np.atleast_1d(_real_array(obs, "observations"))
     if v.shape != weights.shape[-1:]:
         raise LengthMismatch(f"expected {weights.shape[-1]} observations, got {v.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
@@ -228,13 +228,12 @@ def _weigh_observations(weights: np.ndarray, obs):
 
 
 def _check_correlation(corr, n: int) -> np.ndarray:
-    """Shape, finiteness and unit diagonal of Λ; symmetry is ``numerics.check_symmetric``,
-    run by ``solve_spd`` or, where Λ is not solved with, by the caller."""
-    lam = np.asarray(corr, dtype=float)
+    """Real dtype, shape and unit diagonal of Λ.  Finiteness and symmetry are
+    ``numerics.check_symmetric``, run by ``solve_spd`` or, where Λ is not solved
+    with, by the caller."""
+    lam = _real_array(corr, "correlation matrix")
     if lam.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n}x{n}, got {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("correlation matrix must be finite")
     if float(np.max(np.abs(np.diagonal(lam) - 1.0))) > CORRELATION_DIAGONAL_ATOL:
         raise ValueError("correlation matrix must have a unit diagonal")
     return lam
@@ -255,9 +254,10 @@ def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray
 
 
 def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:
+    # A symmetrized Gram matrix fails solve_spd on a pivot or on overflowed entries: both degenerate.
     try:
         return solve_spd(gram, rhs)
-    except NotPositiveDefinite as exc:
+    except ValueError as exc:
         raise DegenerateDesign(
             "trend design is rank deficient; distinct covariates (and n >= k) are required"
         ) from exc

@@ -7,10 +7,10 @@ plus branch and derives the minus branch as its conjugate.
 Systems of order 1 and 2 (constant and linear trend Gram matrices) are solved
 by a written-out Cholesky; only larger ones go to LAPACK (``dpotrf``/``dpotrs``),
 and only they import scipy.  Every order reads the lower triangle, and both
-paths add the relative pivot guard that LAPACK lacks.  The package's one
-symmetry rule, ``check_symmetric`` with ``SYMMETRY_RTOL``, lives here too; it
-decides order 2 from the one off-diagonal pair and scans larger matrices in
-square tiles, so it makes no temporary of the matrix's size.
+paths add the relative pivot guard that LAPACK lacks.  The package's one rule
+for a matrix's entries, ``check_symmetric`` (finite, symmetric within
+``SYMMETRY_RTOL``), lives here too; it scans matrices of order > 2 in square
+tiles, so it makes no temporary of the matrix's size.
 """
 
 from __future__ import annotations
@@ -50,40 +50,37 @@ class ConjugatePair:
 
 
 def check_symmetric(a: np.ndarray) -> None:
-    """Raise ValueError unless max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a| for square ``a``.
+    """Raise ValueError unless square ``a`` is finite and max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a|.
 
-    A matrix with a NaN or ±inf entry passes, so that the pivot guard of
-    ``solve_spd`` fails it.  Order 2 is decided from the one off-diagonal pair.
-    Larger matrices are scanned in ``_TILE``-square tiles, each upper tile
-    ``a[I, J]`` against ``a[J, I]ᵀ`` with both scales in the same pass, so the
-    scan makes no temporary larger than a tile.
+    Orders 1 and 2 are decided from their entries.  Larger matrices are
+    scanned in ``_TILE``-square tiles, each upper tile ``a[I, J]`` against
+    ``a[J, I]ᵀ`` with both scales in the same pass, so the scan makes no
+    temporary larger than a tile; a non-finite scale raises before the
+    tiles are subtracted.
     """
     n = a.shape[0]
     if n <= 2:
-        if n == 2:
-            a00, a01, a10, a11 = a.ravel().tolist()
-            # A NaN or inf off the diagonal makes the difference NaN or the scale
-            # inf, so the comparison is false; Python's max may drop a NaN on the
-            # diagonal, which is therefore tested apart.
-            scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
-            if abs(a01 - a10) > SYMMETRY_RTOL * scale and math.isfinite(a00) and math.isfinite(a11):
-                raise _not_symmetric()
-        return
-    diff = scale = 0.0
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper = a[i : i + _TILE, j : j + _TILE]
-            lower = a[j : j + _TILE, i : i + _TILE].T
-            tile_scale = np.max(np.abs(upper))
-            if j > i:
-                # np.maximum keeps a NaN in either place; Python's max drops it in the second.
-                tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
-            if not np.isfinite(tile_scale):
-                return
-            scale = max(scale, float(tile_scale))
-            diff = max(diff, float(np.max(np.abs(upper - lower))))
+        entries = a.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            raise _not_finite()
+        diff = abs(entries[1] - entries[2]) if n == 2 else 0.0
+        scale = max(map(abs, entries))
+    else:
+        diff = scale = 0.0
+        for i in range(0, n, _TILE):
+            for j in range(i, n, _TILE):
+                upper = a[i : i + _TILE, j : j + _TILE]
+                lower = a[j : j + _TILE, i : i + _TILE].T
+                tile_scale = np.max(np.abs(upper))
+                if j > i:
+                    # np.maximum keeps a NaN in either place; Python's max drops it in the second.
+                    tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
+                if not np.isfinite(tile_scale):
+                    raise _not_finite()
+                scale = max(scale, float(tile_scale))
+                diff = max(diff, float(np.max(np.abs(upper - lower))))
     if diff > SYMMETRY_RTOL * scale:
-        raise _not_symmetric()
+        raise ValueError("matrix is not symmetric within tolerance")
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -91,9 +88,10 @@ def solve_spd(a, b) -> np.ndarray:
 
     Parameters
     ----------
-    a : (k, k) array_like, real, symmetric within ``SYMMETRY_RTOL`` relative
-        (``check_symmetric``, a tiled scan that makes no k×k temporary).  The
-        factorization reads only the lower triangle, at every order.
+    a : (k, k) array_like, real, finite and symmetric within ``SYMMETRY_RTOL``
+        relative (``check_symmetric``, a tiled scan that makes no k×k
+        temporary).  The factorization reads only the lower triangle, at every
+        order; the scan has checked every upper entry against its mirror.
     b : (k,) or (k, m) array_like, real or complex
 
     Returns
@@ -105,13 +103,13 @@ def solve_spd(a, b) -> np.ndarray:
     NotPositiveDefinite
         If the Cholesky factorization fails, or a pivot (the squared diagonal
         of the factor) is not above ``PIVOT_RTOL`` times its own diagonal
-        entry of ``a``; non-finite entries fail the same way.  Unlike a bare
-        library factorization this flags *near*-degenerate systems, the
-        signal for a rank-deficient trend design.
+        entry of ``a``.  Unlike a bare library factorization this flags
+        *near*-degenerate systems, the signal for a rank-deficient trend
+        design.
     ValueError
-        For non-square or materially asymmetric input.
+        For non-square, complex, non-finite or materially asymmetric input.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     check_symmetric(a)
@@ -158,8 +156,16 @@ def solve_spd(a, b) -> np.ndarray:
     return x
 
 
-def _not_symmetric() -> ValueError:
-    return ValueError("matrix is not symmetric within tolerance")
+def _real_array(values, what: str) -> np.ndarray:
+    """The real-array rule: ``values`` as floats; a complex dtype, which a cast would cut, raises."""
+    x = np.asarray(values)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real")
+    return x.astype(float, copy=False)
+
+
+def _not_finite() -> ValueError:
+    return ValueError("matrix must be finite")
 
 
 def _not_positive_definite(j: int) -> NotPositiveDefinite:

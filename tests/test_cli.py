@@ -546,6 +546,14 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--replicates", "0")
         assert code == EXIT_INPUT
 
+    def test_unallocatable_replicates_exits_2(self, capsys):
+        # 10^17 complex errors take 1.39 EiB, beyond any 64-bit address space, so the
+        # allocation fails at once on every host.
+        code, out, err = run_cli(capsys, "simulate", "--replicates", str(10**17))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:

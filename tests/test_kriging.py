@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,13 +20,16 @@ from ckrig import (
     constant_mean_variance,
     feature_vector,
     gls_beta,
+    index_moments,
     kkt_solve,
     kriging_weights,
     predict,
     prediction_error_variance,
+    solve_spd,
     trend_variance,
 )
 from ckrig import numerics
+from ckrig.kriging import _check_correlation
 from conftest import EXAMPLE_SIGMA_N, EXAMPLE_X, EXAMPLE_Y, bad_correlation
 
 
@@ -399,6 +403,70 @@ def test_bad_correlation_is_input_error(kind, path):
             prediction_error_variance(kriging_weights(d, None, [1.0, 4.6]), lam)
         else:
             kkt_solve(d, lam, [1.0, 4.6])
+    assert type(err.value) is ValueError
+
+
+def test_correlation_check_makes_no_matrix_sized_temporary():
+    # Finiteness is left to the tiled symmetry scan, which makes no n×n temporary.
+    lam = np.eye(2000)
+    tracemalloc.start()
+    try:
+        _check_correlation(lam, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+_X4 = [1.0, 2.0, 3.0, 4.0]
+_COMPLEX_VECTOR = np.array([1.0 + 5.0j, 2.0, 3.0, 4.0])
+# Real part the identity, so a cast to float would pass every other check.
+_COMPLEX_LAMBDA = np.eye(4) + 0.2j * np.eye(4)[::-1]
+
+
+def _linear4():
+    return build_design(TrendBasis.linear(), _X4)
+
+
+def _config(**overrides):
+    fields = {"covariates": _X4, "beta": (1.0, 0.5), "sigma": 1.0, "replicates": 10, "seed": 0}
+    return SimulationConfig(**{**fields, **overrides})
+
+
+_REAL_ONLY = {
+    "Sample-covariates": (_COMPLEX_VECTOR, lambda c: Sample(covariates=c, observations=_X4)),
+    "Sample-observations": (_COMPLEX_VECTOR, lambda c: Sample(covariates=_X4, observations=c)),
+    "build_design": (_COMPLEX_VECTOR, lambda c: build_design(TrendBasis.linear(), c)),
+    "index_moments": (_COMPLEX_VECTOR, index_moments),
+    "SimulationConfig-covariates": (_COMPLEX_VECTOR, lambda c: _config(covariates=c)),
+    "SimulationConfig-beta": (np.array([1.0 + 1.0j, 0.5]), lambda c: _config(beta=c)),
+    "gls_beta-obs": (_COMPLEX_VECTOR, lambda c: gls_beta(_linear4(), None, c)),
+    "kriging_weights-obs": (
+        _COMPLEX_VECTOR,
+        lambda c: kriging_weights(_linear4(), None, [1.0, 2.5], obs=c),
+    ),
+    "predict-obs": (
+        _COMPLEX_VECTOR,
+        lambda c: predict(kriging_weights(_linear4(), None, [1.0, 2.5]), c),
+    ),
+    "gls_beta-corr": (_COMPLEX_LAMBDA, lambda c: gls_beta(_linear4(), c, _X4)),
+    "kriging_weights-corr": (_COMPLEX_LAMBDA, lambda c: kriging_weights(_linear4(), c, [1.0, 2.5])),
+    "prediction_error_variance-corr": (
+        _COMPLEX_LAMBDA,
+        lambda c: prediction_error_variance(kriging_weights(_linear4(), None, [1.0, 2.5]), c),
+    ),
+    "kkt_solve-corr": (_COMPLEX_LAMBDA, lambda c: kkt_solve(_linear4(), c, [1.0, 2.5])),
+    "solve_spd": (np.array([[2.0, 0.5j], [-0.5j, 1.0]]), lambda c: solve_spd(c, [1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("container", ["ndarray", "list"])
+@pytest.mark.parametrize("entry", list(_REAL_ONLY))
+def test_complex_input_rejected(entry, container):
+    # A cast to float would keep only the real part, so the dtype is checked first.
+    value, call = _REAL_ONLY[entry]
+    with pytest.raises(ValueError, match="must be real$") as err:
+        call(value.tolist() if container == "list" else value)
     assert type(err.value) is ValueError
 
 

@@ -18,6 +18,17 @@ from ckrig.numerics import (
 )
 
 
+def _random_spd(n):
+    m = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, n))
+    return m.T @ m + np.eye(n)
+
+
+def _with_entry(a, spot, value):
+    a = a.copy()
+    a[spot] = value
+    return a
+
+
 class TestSolveSpd:
     def test_identity(self):
         x = solve_spd(np.eye(2), np.array([3.0, 4.0]))
@@ -65,25 +76,59 @@ class TestSolveSpd:
         [
             ([[0.0]], 0),
             ([[-1.0]], 0),
-            ([[np.nan]], 0),
-            ([[np.inf]], 0),
             ([[0.0, 0.5], [0.5, 2.0]], 0),
             ([[-1.0, 0.5], [0.5, 2.0]], 0),
-            ([[np.nan, 0.5], [0.5, 2.0]], 0),
-            ([[np.inf, 0.5], [0.5, 2.0]], 0),
             ([[1.0, 1.0], [1.0, 1.0]], 1),
-            ([[2.0, np.nan], [np.nan, 2.0]], 1),
-            ([[2.0, 0.5], [0.5, np.nan]], 1),
-            ([[2.0, 0.5], [0.5, np.inf]], 1),
-            ([[2.0, np.inf], [np.inf, 2.0]], 1),
             ([[1.0, 1.0], [1.0, 1.0 + 1e-16]], 1),
             ([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]], 1),
         ],
     )
     def test_small_guard_reports_failing_index(self, a, index):
         a = np.array(a)
-        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite, match=f"index {index} "):
+        with pytest.raises(NotPositiveDefinite, match=f"index {index} "):
             solve_spd(a, np.ones(a.shape[0]))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[np.nan]],
+            [[np.inf]],
+            [[np.nan, 0.5], [0.5, 2.0]],
+            [[np.inf, 0.5], [0.5, 2.0]],
+            [[2.0, np.nan], [np.nan, 2.0]],
+            [[2.0, 0.5], [0.5, np.nan]],
+            [[2.0, 0.5], [0.5, np.inf]],
+            [[2.0, np.inf], [np.inf, 2.0]],
+            [[1.0, np.nan], [0.5, 1.0]],
+            [[1.0, np.inf], [0.5, 1.0]],
+            [[1.0, -np.inf], [0.5, 1.0]],
+            _with_entry(_random_spd(3), (0, 2), np.nan),
+            _with_entry(_random_spd(200), (0, 199), np.nan),
+        ],
+        ids=[
+            "nan-1",
+            "inf-1",
+            "nan-first-diagonal",
+            "inf-first-diagonal",
+            "nan-off-diagonal",
+            "nan-diagonal",
+            "inf-diagonal",
+            "inf-off-diagonal",
+            "nan-upper-only",
+            "inf-upper-only",
+            "minus-inf-upper-only",
+            "nan-upper-only-3",
+            "nan-upper-only-200",
+        ],
+    )
+    def test_non_finite_matrix_rejected(self, a):
+        # A plain ValueError, not NotPositiveDefinite: bad input, not a degenerate system.
+        # The upper-only cases need the scan: the factor never reads that triangle.
+        a = np.array(a)
+        for check in (lambda: solve_spd(a, np.ones(a.shape[0])), lambda: check_symmetric(a)):
+            with pytest.raises(ValueError, match="^matrix must be finite$") as err:
+                check()
+            assert type(err.value) is ValueError
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
@@ -135,19 +180,6 @@ class TestSolveSpd:
         x = solve_spd(a, np.array([1.0, 4.6 * scale]))
         assert_allclose(x * [1.0, scale], [1.0 / 11.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "a",
-        [
-            [[2.0, np.nan], [np.nan, 2.0]],
-            [[2.0, 0.5], [0.5, np.inf]],
-            [[2.0, 0.5], [0.5, np.nan]],
-        ],
-        ids=["nan-off-diagonal", "inf-diagonal", "nan-diagonal"],
-    )
-    def test_non_finite_raises_not_positive_definite(self, a):
-        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
-            solve_spd(np.array(a), np.array([1.0, 1.0]))
-
     def test_blocked_factor_reports_failing_index(self):
         # n = 200 takes LAPACK's blocked path; row and column 150 duplicate 149.
         rng = np.random.default_rng(7)
@@ -160,14 +192,13 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("n", [3, 200])
     def test_large_factor_reads_lower_triangle(self, n):
-        # The strict upper triangle is never read, so only the lower NaN is seen,
-        # and it is first used by the last pivot.
-        rng = np.random.default_rng(5)
-        m = rng.uniform(-1.0, 1.0, size=(n, n))
-        a = m.T @ m + np.eye(n)
-        a[n - 1, 1] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite, match=f"index {n - 1} "):
-            solve_spd(a, np.ones(n))
+        # An upper entry moved within SYMMETRY_RTOL of its mirror passes the scan, and the
+        # factor, which never reads the strict upper triangle, gives the same bits.
+        a = _random_spd(n)
+        b = np.random.default_rng(6).uniform(-1.0, 1.0, size=n)
+        perturbed = _with_entry(a, (0, n - 1), a[0, n - 1] * (1.0 + 1e-13))
+        assert perturbed[0, n - 1] != a[0, n - 1]
+        assert np.array_equal(solve_spd(perturbed, b), solve_spd(a, b))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -193,11 +224,15 @@ class TestSolveSpd:
         assert residual <= 1e-10 * max(np.max(np.abs(b)), 1e-30)
 
 
-def _symmetric_by_rule(a):
-    """The symmetry rule written straight: NaN and ±inf entries pass."""
-    with np.errstate(invalid="ignore", over="ignore"):
+def _verdict_by_rule(a):
+    """The entry rule written straight: the error message for ``a``, or None if it passes."""
+    if not np.isfinite(a).all():
+        return "matrix must be finite"
+    with np.errstate(over="ignore"):
         scale = np.max(np.abs(a))
-        return not (scale > 0.0 and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale)
+        if scale > 0.0 and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
+            return "matrix is not symmetric within tolerance"
+    return None
 
 
 def _symmetry_cases(n):
@@ -212,7 +247,7 @@ def _symmetry_cases(n):
     singles += [("set", v) for v in (np.nan, np.inf, -np.inf)]
     for spot, change in itertools.product(spots, singles):
         yield [(spot, change)]
-    # A NaN next to a gross asymmetry elsewhere, in either order of the scan: the matrix passes.
+    # A NaN next to a gross asymmetry elsewhere, in either order of the scan: finiteness wins.
     for p, q in itertools.permutations(spots, 2):
         yield [(p, ("set", np.nan)), (q, ("shift", 1.0))]
     # Two asymmetries under the bound whose sum is over it: the rule takes the largest.
@@ -239,13 +274,13 @@ def test_check_symmetric_agrees_with_rule(n, base):
             else:
                 a[i, j] = v
         try:
-            with np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(over="ignore"):
                 check_symmetric(a)
-            passed = True
+            verdict = None
         except ValueError as exc:
-            assert str(exc) == "matrix is not symmetric within tolerance"
-            passed = False
-        if passed != _symmetric_by_rule(a):
+            assert type(exc) is ValueError
+            verdict = str(exc)
+        if verdict != _verdict_by_rule(a):
             mismatches.append(case)
     assert not mismatches
 
