@@ -76,17 +76,32 @@ class TestSolveSpd:
         [
             ([[0.0]], 0),
             ([[-1.0]], 0),
+            ([[np.nan]], 0),
+            ([[np.inf]], 0),
             ([[0.0, 0.5], [0.5, 2.0]], 0),
             ([[-1.0, 0.5], [0.5, 2.0]], 0),
+            ([[np.nan, 0.5], [0.5, 2.0]], 0),
+            ([[np.inf, 0.5], [0.5, 2.0]], 0),
             ([[1.0, 1.0], [1.0, 1.0]], 1),
+            ([[2.0, np.nan], [np.nan, 2.0]], 1),
+            ([[2.0, 0.5], [0.5, np.nan]], 1),
+            ([[2.0, 0.5], [0.5, np.inf]], 1),
+            ([[2.0, np.inf], [np.inf, 2.0]], 1),
             ([[1.0, 1.0], [1.0, 1.0 + 1e-16]], 1),
             ([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]], 1),
         ],
     )
     def test_small_guard_reports_failing_index(self, a, index):
+        # A non-finite entry never reaches the guard: the entry rule refuses the matrix
+        # first, so the index where its pivot would fail is not reported.
         a = np.array(a)
-        with pytest.raises(NotPositiveDefinite, match=f"index {index} "):
+        if np.isfinite(a).all():
+            expected = pytest.raises(NotPositiveDefinite, match=f"index {index} ")
+        else:
+            expected = pytest.raises(ValueError, match="^matrix must be finite$")
+        with expected as err:
             solve_spd(a, np.ones(a.shape[0]))
+        assert np.isfinite(a).all() == isinstance(err.value, NotPositiveDefinite)
 
     @pytest.mark.parametrize(
         "a",
