@@ -6,7 +6,10 @@ at an evaluation point is the weighted combination of observations whose
 weights minimize the prediction error variance subject to unbiasedness; the
 weights, the Lagrange multipliers of the constraint, the generalized
 least-squares trend coefficients, and the trend variance all come out of one
-small SPD system built from the design matrix.
+small SPD system built from the design matrix.  Under white noise that
+system's matrix F'F depends on the design alone, so a ``DesignMatrix`` forms
+it once and every query of the design reuses it; the solve and its checks
+still run on every call.
 
 Evaluation points may be complex.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
@@ -17,8 +20,10 @@ deliberate.  A Hermitian form would be strictly positive at those roots.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,9 +116,39 @@ class TrendBasis:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """The n-by-k matrix of trend basis values at the sample covariates."""
+    """The n-by-k matrix of trend basis values at the sample covariates.
+
+    ``F`` must be a finite, non-empty real matrix.  The design keeps a
+    private read-only float copy of it, so writes to the caller's array reach
+    neither the design nor its white-noise Gram matrix F'F, which is formed on
+    the first white-noise query and reused by every later one.
+    """
 
     F: np.ndarray
+
+    def __post_init__(self):
+        # A private copy, as Sample keeps: the cached Gram matrix must not go stale.
+        F = _real_array(np.array(self.F), "design matrix")
+        if F.ndim != 2 or F.size == 0:
+            raise ValueError(f"design matrix must be a non-empty n-by-k matrix, got shape {F.shape}")
+        if not np.isfinite(F).all():
+            raise ValueError("design matrix must be finite")
+        F.flags.writeable = False
+        object.__setattr__(self, "F", F)
+
+    @classmethod
+    def _adopt(cls, F: np.ndarray) -> "DesignMatrix":
+        """The design over ``F`` without a copy: ``F`` is a fresh read-only float array held by no one else."""
+        design = object.__new__(cls)
+        object.__setattr__(design, "F", F)
+        return design
+
+    @cached_property
+    def _white_gram(self) -> np.ndarray:
+        """F'F, symmetrized and read-only: the Gram matrix of every white-noise query."""
+        gram = _gram(self.F, self.F)
+        gram.flags.writeable = False
+        return gram
 
     @property
     def n(self) -> int:
@@ -158,7 +193,7 @@ def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
         if not np.isfinite(F).all():
             raise ValueError("basis values must be finite")
     F.flags.writeable = False
-    return DesignMatrix(F=F)
+    return DesignMatrix._adopt(F)
 
 
 def feature_vector(basis: TrendBasis, point) -> np.ndarray:
@@ -207,6 +242,21 @@ def _feature_values(feature, k: int) -> np.ndarray:
     return f
 
 
+def _count(value, what: str, low: int = 1, high: Optional[int] = None) -> int:
+    """The count rule: an integer (``operator.index``; a bool is not a count) in [low, high)."""
+    if isinstance(value, bool):  # numpy bools already fail operator.index
+        raise ValueError(f"{what} must be an integer, not a bool")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{what} must be at least {low}")
+    if high is not None and count >= high:
+        raise ValueError(f"{what} must be below {high}")
+    return count
+
+
 def _noise_scale(value, what: str):
     """The noise-scale rule for σ² and σ: finite and non-negative (NaN fails both bounds)."""
     if not 0.0 <= value < np.inf:
@@ -239,18 +289,21 @@ def _check_correlation(corr, n: int) -> np.ndarray:
     return lam
 
 
-def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Λ⁻¹F, F'Λ⁻¹F) with the identity shortcut for ``corr=None``."""
-    F = design.F
-    if corr is None:
-        lam_inv_F = F
-    else:
-        lam = _check_correlation(corr, design.n)
-        lam_inv_F = solve_spd(lam, F)
+def _gram(F: np.ndarray, lam_inv_F: np.ndarray) -> np.ndarray:
     gram = F.T @ lam_inv_F
     # Symmetrize: the solve leaves roundoff-level asymmetry behind.
-    gram = 0.5 * (gram + gram.T)
-    return lam_inv_F, gram
+    return 0.5 * (gram + gram.T)
+
+
+def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray]:
+    """Return (Λ⁻¹F, F'Λ⁻¹F).  ``corr=None`` is white noise: (F, the design's
+    once-formed read-only Gram matrix).  A dense Λ is checked, solved with and
+    its Gram matrix formed on every call, and never touches the cached one."""
+    if corr is None:
+        return design.F, design._white_gram
+    lam = _check_correlation(corr, design.n)
+    lam_inv_F = solve_spd(lam, design.F)
+    return lam_inv_F, _gram(design.F, lam_inv_F)
 
 
 def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .kriging import (
     Sample,
     TrendBasis,
+    _count,
     _noise_scale,
     _real_vector,
     build_design,
@@ -162,8 +163,7 @@ def slope(sample: Sample) -> float:
 
 def constant_mean_variance(n: int, sigma2: float = 1.0) -> float:
     """Trend variance of the constant fit: σ²/n, positive for every finite n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count(n, "n")
     return _noise_scale(sigma2, "sigma2") / n
 
 

@@ -24,6 +24,7 @@ from .kriging import (
     Sample,
     TrendBasis,
     _check_correlation,
+    _count,
     _feature_values,
     _noise_scale,
     _real_vector,
@@ -63,8 +64,9 @@ class SimulationConfig:
         if len(self.beta) not in (1, 2):
             raise ValueError("beta must have one (constant) or two (linear) entries")
         _noise_scale(self.sigma, "sigma")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
+        # Philox's key is 128 bits wide.
+        object.__setattr__(self, "seed", _count(self.seed, "seed", low=0, high=2**128))
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {_NOISE_KINDS}")
 
@@ -146,7 +148,7 @@ def simulate_process(config: SimulationConfig, replicate: int = 0) -> Sample:
     """One realization of the model, deterministic in (seed, replicate)."""
     x = np.asarray(config.covariates)
     trend = build_design(config.basis, x).F @ np.asarray(config.beta)
-    block, row = divmod(replicate, BLOCK)
+    block, row = divmod(_count(replicate, "replicate", low=0), BLOCK)
     return Sample(covariates=x, observations=trend + _block_noise(config, block, row + 1)[row])
 
 

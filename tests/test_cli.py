@@ -546,6 +546,12 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--replicates", "0")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed_exits_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "simulate", "--replicates", "10", "--seed", seed)
+        assert code == EXIT_INPUT
+        assert out == "" and "seed must be" in err
+
     def test_unallocatable_replicates_exits_2(self, capsys):
         # 10^17 complex errors take 1.39 EiB, beyond any 64-bit address space, so the
         # allocation fails at once on every host.

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from ckrig import (
     DegenerateDesign,
+    DesignMatrix,
     EmptySample,
     GramConditionWarning,
     LengthMismatch,
@@ -28,7 +29,7 @@ from ckrig import (
     solve_spd,
     trend_variance,
 )
-from ckrig import numerics
+from ckrig import kriging, numerics
 from ckrig.kriging import _check_correlation
 from conftest import EXAMPLE_SIGMA_N, EXAMPLE_X, EXAMPLE_Y, bad_correlation
 
@@ -122,6 +123,60 @@ class TestBuildDesign:
         basis = TrendBasis.columns(lambda t: 1.0, lambda t: np.log(t - 1.0))
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="basis values must be finite"):
             build_design(basis, [1.0, 2.0, 3.0, 4.0])
+
+
+class TestDesignMatrixOwnership:
+    def test_caller_array_copied_and_frozen(self):
+        F = np.column_stack([np.ones(11), EXAMPLE_X])
+        d = DesignMatrix(F=F)
+        before = kriging_weights(d, None, [1.0, 4.6 + 2.7j], obs=EXAMPLE_Y)
+        F[:] = np.nan
+        assert F.flags.writeable
+        assert not d.F.flags.writeable
+        assert_allclose(d.F[:, 1], EXAMPLE_X, rtol=0, atol=0)
+        after = kriging_weights(d, None, [1.0, 4.6 + 2.7j], obs=EXAMPLE_Y)
+        for name in ("weights", "multipliers", "beta_hat"):
+            assert _same_bits(getattr(before, name), getattr(after, name))
+        assert before.variance_factor == after.variance_factor
+        assert _same_bits(gls_beta(d, None, EXAMPLE_Y), before.beta_hat)
+
+    def test_integer_design_stored_as_float(self):
+        d = DesignMatrix(F=[[1, 1], [1, 2], [1, 3]])
+        assert d.F.dtype == np.float64
+        assert (d.n, d.k) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "F, message",
+        [
+            (np.ones((3, 1), dtype=complex), "must be real"),
+            ([1.0, 2.0], "n-by-k"),
+            (np.ones((0, 2)), "n-by-k"),
+            ([[1.0, np.nan], [1.0, 2.0], [1.0, 3.0]], "must be finite"),
+        ],
+        ids=["complex", "one-dimensional", "empty", "nan"],
+    )
+    def test_malformed_design_rejected(self, F, message):
+        # A 1-D F raised IndexError on its first query, a NaN one DegenerateDesign.
+        with pytest.raises(ValueError, match=message) as err:
+            DesignMatrix(F=F)
+        assert type(err.value) is ValueError
+
+    def test_build_design_does_not_copy(self, monkeypatch):
+        def copied(self):
+            pytest.fail("build_design copied its fresh design matrix")
+
+        monkeypatch.setattr(DesignMatrix, "__post_init__", copied)
+        d = build_design(TrendBasis.linear(), EXAMPLE_X)
+        assert not d.F.flags.writeable
+
+    def test_cached_gram_is_symmetrized_f_t_f_and_read_only(self):
+        d = build_design(TrendBasis.linear(), EXAMPLE_X)
+        kriging_weights(d, None, [1.0, 4.6])
+        gram = d._white_gram
+        raw = d.F.T @ d.F
+        assert _same_bits(gram, 0.5 * (raw + raw.T))
+        with pytest.raises(ValueError):
+            gram[0, 0] = 0.0
 
 
 class TestFeatureVector:
@@ -386,6 +441,64 @@ def test_dense_correlation_scanned_once(call, monkeypatch):
     assert calls.count((11, 11)) == 1
 
 
+def _spy_gram(monkeypatch):
+    """Record, per call of ``kriging._gram``, whether it formed a white-noise Gram matrix (F'F)."""
+    calls = []
+    original = kriging._gram
+
+    def spy(F, lam_inv_F):
+        calls.append(lam_inv_F is F)
+        return original(F, lam_inv_F)
+
+    monkeypatch.setattr(kriging, "_gram", spy)
+    return calls
+
+
+def test_white_gram_formed_once_per_design(monkeypatch):
+    calls = _spy_gram(monkeypatch)
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    for point in (4.6, 1.0, 4.6 + 2.7j, 4.6 - 2.7j, 9.0):
+        kriging_weights(d, None, feature_vector(TrendBasis.linear(), point), obs=EXAMPLE_Y)
+        gls_beta(d, None, EXAMPLE_Y)
+    assert calls == [True]
+    build_design(TrendBasis.linear(), EXAMPLE_X)
+    assert calls == [True]  # a design forms nothing until it is queried
+
+
+@pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
+def test_dense_query_never_forms_white_gram(call, monkeypatch):
+    calls = _spy_gram(monkeypatch)
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    lam = _random_correlation(np.random.default_rng(3), 11)
+    for _ in range(3):
+        if call == "gls_beta":
+            gls_beta(d, lam, EXAMPLE_Y)
+        else:
+            kriging_weights(d, lam, [1.0, 4.6], obs=EXAMPLE_Y)
+    assert calls == [False, False, False]
+    assert "_white_gram" not in vars(d)
+
+
+def test_gram_warning_on_every_white_query():
+    # Shifted covariates: the equilibrated Gram condition is ~1e12.
+    d = build_design(TrendBasis.linear(), np.array(EXAMPLE_X) + 1e6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            kriging_weights(d, None, [1.0, 1e6 + 4.6], obs=EXAMPLE_Y)
+            gls_beta(d, None, EXAMPLE_Y)
+    assert [w.category for w in caught] == [GramConditionWarning] * 6
+
+
+def test_degenerate_design_raises_on_every_white_query():
+    d = build_design(TrendBasis.linear(), [3.0] * 5)
+    for _ in range(3):
+        with pytest.raises(DegenerateDesign):
+            kriging_weights(d, None, [1.0, 3.0])
+        with pytest.raises(DegenerateDesign):
+            gls_beta(d, None, [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
 @pytest.mark.parametrize("kind", ["asymmetric", "nan", "non-unit-diagonal"])
 @pytest.mark.parametrize(
     "path", ["gls_beta", "kriging_weights", "prediction_error_variance", "kkt_solve"]
@@ -533,6 +646,54 @@ def test_real_features_give_real_weights(cfg):
     sol = kriging_weights(design, corr, np.real(f).astype(complex))
     assert np.max(np.abs(np.imag(sol.weights))) <= 1e-14
     assert np.max(np.abs(np.imag(sol.multipliers))) <= 1e-14
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def reused_design_queries(draw):
+    """One design, a dense Λ, and a sequence of (white?, gls_beta?, feature, with obs?) queries."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    covariates = np.linspace(-5.0, 5.0, n) + rng.uniform(-0.02, 0.02, n)
+    corr = _random_correlation(rng, n)
+    obs = rng.uniform(-10.0, 10.0, n)
+    queries = []
+    for white, gls, complex_feature, with_obs in draw(
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()), min_size=2, max_size=12)
+    ):
+        f = rng.uniform(-3.0, 3.0, k)
+        if complex_feature:
+            f = f + 1j * rng.uniform(-3.0, 3.0, k)
+        queries.append((white, gls, f, with_obs))
+    return _basis_for(k), covariates, corr, obs, queries
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=reused_design_queries())
+def test_reused_design_matches_fresh_design_bitwise(case):
+    # White queries on one design share its Gram matrix; dense ones interleave. Each result
+    # must carry the same bits as the same call on a design built for it alone.
+    basis, covariates, corr, obs, queries = case
+    design = build_design(basis, covariates)
+    for white, gls, f, with_obs in queries:
+        lam = None if white else corr
+        fresh = build_design(basis, covariates)
+        if gls:
+            assert _same_bits(gls_beta(design, lam, obs), gls_beta(fresh, lam, obs))
+            continue
+        v = obs if with_obs else None
+        got, want = kriging_weights(design, lam, f, obs=v), kriging_weights(fresh, lam, f, obs=v)
+        for name in ("weights", "multipliers"):
+            assert _same_bits(getattr(got, name), getattr(want, name))
+        assert _same_bits(got.variance_factor, want.variance_factor)
+        assert (got.beta_hat is None) == (want.beta_hat is None) == (v is None)
+        if v is not None:
+            assert _same_bits(got.beta_hat, want.beta_hat)
 
 
 def test_constant_basis_blue_limit():

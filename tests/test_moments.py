@@ -202,6 +202,15 @@ class TestConstantMeanVariance:
         with pytest.raises(ValueError):
             constant_mean_variance(5, -1.0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "4"], ids=repr)
+    def test_count_rule(self, n):
+        # 2.5 used to give 0.4; a float, even an integral one, is not a count.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            constant_mean_variance(n, 1.0)
+
+    def test_numpy_integer_n(self):
+        assert constant_mean_variance(np.int64(4), 2.0) == 0.5
+
 
 # --- module invariants -------------------------------------------------------
 

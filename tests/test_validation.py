@@ -168,6 +168,40 @@ class TestSimulateProcess:
             )
 
     @pytest.mark.parametrize(
+        "field",
+        [
+            {"seed": 1.5},  # Philox(key=1.5) would run seed 1's stream
+            {"seed": -1},
+            {"seed": 2**128},
+            {"seed": True},
+            {"seed": "3"},
+            {"replicates": 2.5},
+            {"replicates": np.True_},
+        ],
+        ids=repr,
+    )
+    def test_config_count_rule(self, field):
+        base = {"covariates": (1.0, 2.0), "beta": (0.0, 1.0), "sigma": 1.0, "replicates": 1, "seed": 0}
+        (name,) = field
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SimulationConfig(**{**base, **field})
+
+    def test_config_counts_accept_numpy_integers(self):
+        base = {"covariates": tuple(range(1, 12)), "beta": (1.0, 0.5), "sigma": 1.0}
+        numpy = SimulationConfig(**base, replicates=np.int64(50), seed=np.uint64(2**64 - 1))
+        plain = SimulationConfig(**base, replicates=50, seed=2**64 - 1)
+        assert (type(numpy.replicates), type(numpy.seed)) == (int, int)
+        assert monte_carlo_mse(numpy, 4.6) == monte_carlo_mse(plain, 4.6)
+        # The widest Philox key is accepted.
+        assert SimulationConfig(**base, replicates=1, seed=2**128 - 1).seed == 2**128 - 1
+
+    @pytest.mark.parametrize("replicate", [1.5, -1, True])
+    def test_replicate_index_rule(self, replicate):
+        cfg = SimulationConfig(covariates=(1.0, 2.0), beta=(0.0,), sigma=1.0, replicates=1, seed=0)
+        with pytest.raises(ValueError, match="replicate"):
+            simulate_process(cfg, replicate)
+
+    @pytest.mark.parametrize(
         "field", [{"beta": (float("nan"), 1.0)}, {"covariates": (1.0, float("inf"))}]
     )
     def test_config_rejects_non_finite_vectors(self, field):
