@@ -27,8 +27,8 @@ from .kriging import (
 )
 from .numerics import ConjugatePair
 
-# Covariate spread at or below this (relative to the covariate mean) leaves
-# no imaginary direction to continue into.
+# Covariate spread σ_n at or below this (relative to |m_n|, the covariate
+# mean) leaves no imaginary direction to continue into.
 DEGENERATE_SPREAD_RTOL = 1e-14
 
 
@@ -57,20 +57,28 @@ class IndexMoments:
 class ComplexMoments:
     """Complex mean and variance of a sample, with the intermediates.
 
-    ``weighted_square`` is the kriging-weighted square of the observations
-    at the zero-variance point; ``real_se`` and ``imag_se`` are the standard
-    errors of the real and imaginary parts of the mean (the imaginary one is
-    |slope|·σ_n, reported as a magnitude).  ``moments`` (which carries the
-    zero-variance points) and ``slope`` come from the same moment pass.
+    Stored: ``mean``; ``weighted_square``, the kriging-weighted square of the
+    observations at the zero-variance point; ``real_se``, the standard error
+    of the real part of the mean; ``moments`` (which carries the
+    zero-variance points) and ``slope``, from the same moment pass as the
+    mean.  Derived: ``variance`` = weighted_square - mean² and ``imag_se`` =
+    |Im mean| = |slope|·σ_n, the standard error of the imaginary part.
     """
 
     mean: ConjugatePair
-    variance: ConjugatePair
     weighted_square: ConjugatePair
     real_se: float
-    imag_se: float
     moments: IndexMoments
     slope: float
+
+    @property
+    def variance(self) -> ConjugatePair:
+        # A product, not ``**2``: complex powers raise OverflowError where products give inf.
+        return ConjugatePair(self.weighted_square.plus - self.mean.plus * self.mean.plus)
+
+    @property
+    def imag_se(self) -> float:
+        return abs(self.mean.plus.imag)
 
 
 def index_moments(covariates) -> IndexMoments:
@@ -78,7 +86,8 @@ def index_moments(covariates) -> IndexMoments:
     x = _real_vector(covariates, "covariates")
     m_n = float(np.mean(x))
     m_sn = float(np.mean(x * x))
-    spread = max(m_sn - m_n * m_n, 0.0)
+    # Exactly 0 for equal covariates, where m_sn - m_n² can leave a roundoff residue.
+    spread = 0.0 if x.min() == x.max() else max(m_sn - m_n * m_n, 0.0)
     return IndexMoments(m_n=m_n, m_sn=m_sn, sigma_n=math.sqrt(spread))
 
 
@@ -86,7 +95,7 @@ def _nondegenerate_moments(covariates) -> IndexMoments:
     # Moments that overflow give a NaN or infinite σ_n; that fails here, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         mom = index_moments(covariates)
-    if not DEGENERATE_SPREAD_RTOL * max(1.0, abs(mom.m_n)) < mom.sigma_n < math.inf:
+    if not DEGENERATE_SPREAD_RTOL * abs(mom.m_n) < mom.sigma_n < math.inf:
         raise DegenerateCovariates(
             "covariates have no finite spread; at least two distinct values are required"
         )
@@ -99,12 +108,12 @@ def zero_variance_points(covariates) -> ConjugatePair:
 
 
 def _mean_components(sample: Sample) -> tuple[IndexMoments, ConjugatePair, float]:
-    """(moments, complex mean v̄ + i·cov/σ_n, cov = mean(x·v) - m_n·v̄), one pass."""
+    """(moments, complex mean v̄ + i·cov/σ_n, slope cov/σ_n²) from one pass over (x, v)."""
     mom = _nondegenerate_moments(sample.covariates)
     vbar = float(np.mean(sample.observations))
     xvbar = float(np.mean(sample.covariates * sample.observations))
     cov = xvbar - mom.m_n * vbar
-    return mom, ConjugatePair(complex(vbar, cov / mom.sigma_n)), cov
+    return mom, ConjugatePair(complex(vbar, cov / mom.sigma_n)), cov / (mom.sigma_n * mom.sigma_n)
 
 
 def complex_mean(sample: Sample) -> ConjugatePair:
@@ -124,21 +133,17 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     squared observations; the plus branch of the variance pairs with the
     plus branch of the mean (one consistent evaluation point throughout).
     """
-    mom, mean, cov = _mean_components(sample)
+    mom, mean, a_hat = _mean_components(sample)
     basis = TrendBasis.linear()
     design = build_design(basis, sample.covariates)
     solution = kriging_weights(design, None, feature_vector(basis, mom.zero_variance_points.plus))
     wsq_plus = complex(np.dot(solution.weights, sample.observations**2))
-
     return ComplexMoments(
         mean=mean,
-        # A product, not ``**2``: complex powers raise OverflowError where products give inf.
-        variance=ConjugatePair(wsq_plus - mean.plus * mean.plus),
         weighted_square=ConjugatePair(wsq_plus),
         real_se=real_standard_error(sample),
-        imag_se=abs(mean.plus.imag),
         moments=mom,
-        slope=cov / (mom.sigma_n * mom.sigma_n),
+        slope=a_hat,
     )
 
 
@@ -157,8 +162,7 @@ def imaginary_standard_error(sample: Sample) -> float:
 
 def slope(sample: Sample) -> float:
     """Least-squares slope of the linear trend, (mean(x·v) - m_n·v̄)/σ_n²."""
-    mom, _, cov = _mean_components(sample)
-    return cov / (mom.sigma_n * mom.sigma_n)
+    return _mean_components(sample)[2]
 
 
 def constant_mean_variance(n: int, sigma2: float = 1.0) -> float:

@@ -31,6 +31,25 @@ EXAMPLE_WSQ_PLUS = 40.872727272727275 - 5.433251143068136j
 EXAMPLE_VAR_PLUS = 3.152812844821753 - 2.777244489245983j
 
 
+def _random_correlation(rng, n):
+    """A random n-by-n SPD correlation matrix (unit diagonal), drawn from ``rng``."""
+    m = rng.uniform(-1.0, 1.0, size=(n, n))
+    s = m @ m.T + n * np.eye(n)
+    d = 1.0 / np.sqrt(np.diagonal(s))
+    return d[:, None] * s * d[None, :]
+
+
+def _basis_for(k):
+    """The constant, linear or quadratic trend basis with k columns."""
+    from ckrig import TrendBasis
+
+    if k == 1:
+        return TrendBasis.constant()
+    if k == 2:
+        return TrendBasis.linear()
+    return TrendBasis.columns(lambda t: 1.0, lambda t: t, lambda t: t * t)
+
+
 def bad_correlation(kind, n):
     """An n-by-n Λ that fails input validation: asymmetric, NaN, or a non-unit diagonal."""
     lam = np.eye(n)

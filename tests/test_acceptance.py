@@ -32,7 +32,14 @@ from ckrig import (
     zero_variance_points,
 )
 from ckrig.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main, render_one_decimal
-from conftest import DATA_DIR, EXAMPLE_X, EXAMPLE_Y, summation_oracle
+from conftest import (
+    DATA_DIR,
+    EXAMPLE_X,
+    EXAMPLE_Y,
+    _basis_for,
+    _random_correlation,
+    summation_oracle,
+)
 
 
 @contextmanager
@@ -44,21 +51,6 @@ def criterion(name):
         print(f"[acceptance] FAIL {name}")
         raise
     print(f"[acceptance] PASS {name} ({time.perf_counter() - started:.2f}s)")
-
-
-def _random_correlation(rng, n):
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    s = m @ m.T + n * np.eye(n)
-    d = 1.0 / np.sqrt(np.diagonal(s))
-    return d[:, None] * s * d[None, :]
-
-
-def _basis_for(k):
-    if k == 1:
-        return TrendBasis.constant()
-    if k == 2:
-        return TrendBasis.linear()
-    return TrendBasis.columns(lambda t: 1.0, lambda t: t, lambda t: t * t)
 
 
 def test_example_reproduction():

@@ -486,6 +486,16 @@ class TestZeroPointsCommand:
         code, _, _ = run_cli(capsys, "zero-points", str(p))
         assert code == EXIT_DEGENERATE
 
+    @pytest.mark.parametrize("command", ["zero-points", "complex-mean"])
+    def test_equal_covariates_with_roundoff_spread_degenerate(self, capsys, tmp_path, command):
+        # The one-pass σ_n of three copies of this value is 1.08e-5, not 0.
+        p = tmp_path / "flat.csv"
+        p.write_text("".join(f"954.5621324381254,{v}\n" for v in (1.0, 2.0, 3.0)))
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == EXIT_DEGENERATE
+        assert out == ""
+        assert "no finite spread" in err
+
     def test_one_moment_pass(self, capsys, example_csv_path, monkeypatch):
         calls = []
 

@@ -31,22 +31,14 @@ from ckrig import (
 )
 from ckrig import kriging, numerics
 from ckrig.kriging import _check_correlation
-from conftest import EXAMPLE_SIGMA_N, EXAMPLE_X, EXAMPLE_Y, bad_correlation
-
-
-def _random_correlation(rng, n):
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    s = m @ m.T + n * np.eye(n)
-    d = 1.0 / np.sqrt(np.diagonal(s))
-    return d[:, None] * s * d[None, :]
-
-
-def _basis_for(k):
-    if k == 1:
-        return TrendBasis.constant()
-    if k == 2:
-        return TrendBasis.linear()
-    return TrendBasis.columns(lambda t: 1.0, lambda t: t, lambda t: t * t)
+from conftest import (
+    EXAMPLE_SIGMA_N,
+    EXAMPLE_X,
+    EXAMPLE_Y,
+    _basis_for,
+    _random_correlation,
+    bad_correlation,
+)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ckrig import (
@@ -94,6 +94,20 @@ class TestZeroVariancePoints:
             complex_variance(Sample(covariates=x, observations=np.arange(len(x), dtype=float)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(-1000.0, 1000.0), n=st.integers(1, 100))
+@example(c=954.5621324381254, n=3)
+def test_equal_covariates_degenerate_at_any_value(c, n):
+    # The one-pass m_sn - m_n² of equal values is often a roundoff residue, not 0.
+    assert index_moments(np.full(n, c)).sigma_n == 0.0
+    s = Sample(covariates=np.full(n, c), observations=np.arange(n, dtype=float))
+    with pytest.raises(DegenerateCovariates, match="no finite spread"):
+        zero_variance_points(s.covariates)
+    for moment in (complex_mean, complex_variance, slope, imaginary_standard_error):
+        with pytest.raises(DegenerateCovariates, match="no finite spread"):
+            moment(s)
+
+
 class TestComplexMean:
     def test_example(self, example_sample, example_oracle):
         pair = complex_mean(example_sample)
@@ -132,6 +146,17 @@ class TestComplexVariance:
         for name in ("mean", "weighted_square", "variance"):
             got, want = getattr(stats_scaled, name).plus, getattr(stats, name).plus
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e-50, 1e-100, 1e-150])
+    def test_small_covariate_scale(self, example_sample, scale):
+        # The spread threshold is relative to |m_n| at every scale; x² stays a normal float.
+        x, v = example_sample.covariates, example_sample.observations
+        stats = complex_variance(example_sample)
+        stats_scaled = complex_variance(Sample(covariates=scale * x, observations=v))
+        for name in ("mean", "weighted_square", "variance"):
+            got, want = getattr(stats_scaled, name).plus, getattr(stats, name).plus
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(stats_scaled.slope * scale - stats.slope) <= 1e-13 * abs(stats.slope)
 
     def test_example(self, example_sample, example_oracle):
         stats = complex_variance(example_sample)
@@ -282,6 +307,23 @@ def test_negative_scaling_swaps_branches(s, scale):
     base = complex_mean(s)
     swapped = complex_mean(flipped)
     assert abs(swapped.plus - base.minus) <= 1e-10 * max(1.0, abs(base.minus))
+
+
+def _bits(value) -> tuple[str, str]:
+    z = complex(value)
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=samples())
+def test_record_matches_standalone_statistics_bitwise(s):
+    stats = complex_variance(s)
+    assert _bits(stats.mean.plus) == _bits(complex_mean(s).plus)
+    assert _bits(stats.slope) == _bits(slope(s))
+    assert _bits(stats.real_se) == _bits(real_standard_error(s))
+    assert _bits(stats.imag_se) == _bits(imaginary_standard_error(s))
+    expected = stats.weighted_square.plus - stats.mean.plus * stats.mean.plus
+    assert _bits(stats.variance.plus) == _bits(expected)
 
 
 @settings(max_examples=50, deadline=None)

@@ -19,22 +19,7 @@ from ckrig import (
     zero_variance_points,
 )
 from ckrig.validation import BLOCK
-from conftest import EXAMPLE_X
-
-
-def _random_correlation(rng, n):
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    s = m @ m.T + n * np.eye(n)
-    d = 1.0 / np.sqrt(np.diagonal(s))
-    return d[:, None] * s * d[None, :]
-
-
-def _basis_for(k):
-    if k == 1:
-        return TrendBasis.constant()
-    if k == 2:
-        return TrendBasis.linear()
-    return TrendBasis.columns(lambda t: 1.0, lambda t: t, lambda t: t * t)
+from conftest import EXAMPLE_X, _basis_for, _random_correlation
 
 
 class TestKktSolve:
