@@ -4,10 +4,20 @@ Everything here is shared plumbing: a guarded Cholesky solve for the
 symmetric positive-definite systems that appear in the trend fits, and a
 container for complex results that come in conjugate pairs, which stores the
 plus branch and derives the minus branch as its conjugate.
-Systems of order 1 and 2 (constant and linear trend Gram matrices) are solved
-by a written-out Cholesky; only larger ones go to LAPACK (``dpotrf``/``dpotrs``),
-and only they import scipy.  Every order reads the lower triangle, and both
-paths add the relative pivot guard that LAPACK lacks.  The package's one rule
+``solve_spd`` splits its work by the order k of the system:
+
+- k <= 2 (constant and linear trend Gram matrices): a written-out Cholesky,
+  a few microseconds per call, whose bits the golden CLI output pins;
+- 2 < k <= ``_SMALL_ORDER`` (a small correlation matrix, such as a
+  ``--lambda`` file over a few dozen rows, or a ``columns`` basis): a numpy
+  column-by-column Cholesky, which costs at most ~1 ms and spares the
+  process the ~360 ms import of ``scipy.linalg``;
+- larger k: LAPACK (``dpotrf``/``dpotrs``), the only path that imports scipy,
+  whose blocked factorization the loop cannot approach at large k (and numpy
+  has no triangular solve).
+
+Every order reads the lower triangle, and every path adds the relative pivot
+guard that LAPACK lacks.  The package's one rule
 for a matrix's entries, ``check_symmetric`` (finite, symmetric within
 ``SYMMETRY_RTOL``), lives here too; it scans matrices of order > 2 in square
 tiles, so it makes no temporary of the matrix's size.
@@ -27,6 +37,11 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-14
 # Edge of the square tiles in which ``check_symmetric`` scans matrices of order > 2.
 _TILE = 128
+# Largest order that ``solve_spd`` factors in numpy, without importing scipy.  The
+# column loop takes ~0.2 ms at order 11 and ~1 ms at order 64 against ~0.02 and
+# ~0.06 ms for LAPACK in a process that has scipy loaded, far below the ~360 ms
+# import it avoids; above this order LAPACK's speed matters more than the import.
+_SMALL_ORDER = 64
 
 
 class NotPositiveDefinite(ValueError):
@@ -86,6 +101,11 @@ def check_symmetric(a: np.ndarray) -> None:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
+    Three factorizations share one contract, chosen by the order k of ``a``:
+    k <= 2 is written out (the trend Gram matrices, solved on every query);
+    2 < k <= ``_SMALL_ORDER`` is a numpy column Cholesky, so small systems
+    never import scipy; larger k goes to LAPACK, which is faster there.
+
     Parameters
     ----------
     a : (k, k) array_like, real, finite and symmetric within ``SYMMETRY_RTOL``
@@ -107,20 +127,21 @@ def solve_spd(a, b) -> np.ndarray:
         *near*-degenerate systems, the signal for a rank-deficient trend
         design.
     ValueError
-        For non-square, complex, non-finite or materially asymmetric input.
+        For non-square, complex, non-finite or materially asymmetric input,
+        or a ``b`` of any other shape.
     """
     a = _real_array(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     check_symmetric(a)
 
+    k = a.shape[0]
     b = np.asarray(b)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != k:
+        raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
     b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
 
-    k = a.shape[0]
-    if k > 2:
+    if k > _SMALL_ORDER:
         from scipy.linalg import cho_solve
         from scipy.linalg.lapack import dpotrf
 
@@ -134,6 +155,8 @@ def solve_spd(a, b) -> np.ndarray:
         if failed.any():
             raise _not_positive_definite(int(np.argmax(failed)))
         return cho_solve((upper, False), b, check_finite=False)
+    if k > 2:
+        return _column_cholesky_solve(a, b)
 
     # Orders 1 and 2 written out.  Each division is a multiplication by the
     # reciprocal, as OpenBLAS's kernels do, which keeps the factor equal to dpotrf's.
@@ -153,6 +176,32 @@ def solve_spd(a, b) -> np.ndarray:
     x = np.empty_like(b)
     x[1] = (b[1] - l10 * y0) * r11 * r11
     x[0] = (y0 - l10 * x[1]) * r00
+    return x
+
+
+def _column_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_spd``'s middle orders: the order-2 recurrence carried on to order k.
+
+    Column j of the factor is ``(a[j:, j] - L[j:, :j] @ L[j, :j]) / √pivot``,
+    whose first entry is the pivot ``a_jj − L[j,:j]·L[j,:j]``; the division is a
+    multiplication by the reciprocal, and only the lower triangle of ``a`` is read.
+    """
+    k = a.shape[0]
+    lower = np.zeros((k, k))
+    recip = np.empty(k)
+    for j in range(k):
+        column = a[j:, j] - lower[j:, :j] @ lower[j, :j]
+        pivot = column[0]
+        # Written so that a NaN pivot, left by overflow, fails too.
+        if not pivot > PIVOT_RTOL * a[j, j]:
+            raise _not_positive_definite(j)
+        recip[j] = 1.0 / math.sqrt(pivot)
+        lower[j + 1 :, j] = column[1:] * recip[j]
+    x = b.copy()
+    for j in range(k):
+        x[j] = (x[j] - lower[j, :j] @ x[:j]) * recip[j]
+    for j in reversed(range(k)):
+        x[j] = (x[j] - lower[j + 1 :, j] @ x[j + 1 :]) * recip[j]
     return x
 
 

@@ -595,28 +595,38 @@ import contextlib, io, json, sys
 import ckrig
 loaded = {"import ckrig": "scipy" in sys.modules}
 from ckrig.cli import main
-csv, lam = sys.argv[1:]
+csv, lam, big_csv, big_lam = sys.argv[1:]
+names = {csv: "FILE", lam: "LAM", big_csv: "BIG_FILE", big_lam: "BIG_LAM"}
 for argv in (
     ["zero-points", csv],
     ["complex-mean", csv, "--json"],
     ["fit", csv, "--at", "4.6"],
     ["simulate", "--replicates", "10"],
     ["fit", csv, "--at", "4.6", "--lambda", lam],
+    ["fit", big_csv, "--at", "4.6", "--lambda", big_lam],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded[" ".join(argv).replace(csv, "FILE").replace(lam, "LAM")] = [code, "scipy" in sys.modules]
+    loaded[" ".join(names.get(arg, arg) for arg in argv)] = [code, "scipy" in sys.modules]
 print(json.dumps(loaded))
 """
 
 
+def _identity_lambda_file(path, n):
+    path.write_text("\n".join(" ".join(str(float(i == j)) for j in range(n)) for i in range(n)))
+    return path
+
+
 def test_scipy_imported_only_for_order_n_solves(example_csv_path, tmp_path):
-    lam_file = tmp_path / "lam.txt"
-    lam_file.write_text("\n".join(" ".join(str(float(i == j)) for j in range(11)) for i in range(11)))
+    lam_file = _identity_lambda_file(tmp_path / "lam.txt", 11)
+    # One order above numerics._SMALL_ORDER's bound of 64, so the last run must reach LAPACK.
+    big_csv = tmp_path / "big.csv"
+    big_csv.write_text("".join(f"{i / 10!r},{(i * 7) % 13!r}\n" for i in range(100)))
+    big_lam = _identity_lambda_file(tmp_path / "big_lam.txt", 100)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(example_csv_path), str(lam_file)],
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, (example_csv_path, lam_file, big_csv, big_lam))],
         capture_output=True,
         text=True,
         env=env,
@@ -628,8 +638,9 @@ def test_scipy_imported_only_for_order_n_solves(example_csv_path, tmp_path):
         "complex-mean FILE --json": [EXIT_OK, False],
         "fit FILE --at 4.6": [EXIT_OK, False],
         "simulate --replicates 10": [EXIT_OK, False],
-        # A --lambda file has order n, so it must still reach LAPACK: the probe is not vacuous.
-        "fit FILE --at 4.6 --lambda LAM": [EXIT_OK, True],
+        # An 11×11 Λ is factored in numpy; only a Λ of order above 64 loads scipy.
+        "fit FILE --at 4.6 --lambda LAM": [EXIT_OK, False],
+        "fit BIG_FILE --at 4.6 --lambda BIG_LAM": [EXIT_OK, True],
     }
 
 

@@ -145,7 +145,7 @@ class TestSolveSpd:
                 check()
             assert type(err.value) is ValueError
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 11])
     @pytest.mark.parametrize(
         "b",
         [[1, 2], [1.0, 2.0], np.float32([1.0, 2.0]), [1.0 + 2.0j, 3.0j], np.complex64([1.0j, 2.0])],
@@ -153,12 +153,42 @@ class TestSolveSpd:
     )
     @pytest.mark.parametrize("columns", [None, 3])
     def test_small_solve_keeps_shape_and_promoted_dtype(self, k, b, columns):
-        b = np.asarray(b)[:k]
+        # Order 11 takes the numpy column loop; the tridiagonal matrix is SPD at every order.
+        b = np.resize(np.asarray(b), k)
         if columns is not None:
             b = np.repeat(b[:, None], columns, axis=1)
-        x = solve_spd(np.array([[4.0, 1.0], [1.0, 3.0]])[:k, :k], b)
+        a = np.diag(np.r_[4.0, np.full(k - 1, 3.0)]) + np.eye(k, k=1) + np.eye(k, k=-1)
+        x = solve_spd(a, b)
         assert x.shape == b.shape
         assert x.dtype == np.result_type(b, float)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 2, 3), "k+1", "k,1,1"])
+    def test_right_hand_side_shape_rule(self, k, shape):
+        # Only (k,) and (k, m) are accepted, with the same error at every order.
+        shape = {"k+1": (k + 1,), "k,1,1": (k, 1, 1)}.get(shape, shape)
+        message = rf"^right-hand side must have shape \({k},\) or \({k}, m\), got "
+        with pytest.raises(ValueError, match=message):
+            solve_spd(_random_spd(k), np.ones(shape))
+
+    @pytest.mark.parametrize("k", [3, 11, 64, 65])
+    @pytest.mark.parametrize("rhs", ["real", "complex", "real-2d", "complex-2d"])
+    def test_solve_agrees_with_lapack_across_orders(self, k, rhs):
+        from scipy.linalg import cho_factor, cho_solve
+
+        # Orders 3 to 64 take the numpy column loop, 65 LAPACK; every one agrees with
+        # scipy's cho_solve on well-conditioned matrices within 4k·eps·cond(a).
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            m = rng.uniform(-1.0, 1.0, size=(k, k))
+            a = m.T @ m + np.eye(k)
+            b = rng.normal(size=(k, 4) if rhs.endswith("2d") else k)
+            if rhs.startswith("complex"):
+                b = b + 1j * rng.normal(size=b.shape)
+            got, want = solve_spd(a, b), cho_solve(cho_factor(a, lower=True), b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            bound = 4 * k * np.finfo(float).eps * np.linalg.cond(a) * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= bound
 
     @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e7, 1e150])
     @pytest.mark.parametrize("k", [1, 2])
@@ -195,6 +225,26 @@ class TestSolveSpd:
         x = solve_spd(a, np.array([1.0, 4.6 * scale]))
         assert_allclose(x * [1.0, scale], [1.0 / 11.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("j", [1, 20, 39])
+    def test_column_loop_reports_failing_index(self, j):
+        # n = 40 takes the numpy column loop; row and column j duplicate j - 1.
+        a = _random_spd(40)
+        a[j, :] = a[j - 1, :]
+        a[:, j] = a[:, j - 1]
+        with pytest.raises(NotPositiveDefinite, match=f"index {j} "):
+            solve_spd(a, np.ones(40))
+
+    @pytest.mark.parametrize("n", [3, 40, 64])
+    def test_column_loop_pivot_guard_ignores_column_scale(self, n):
+        # Every other column scaled by 1e150: a guard against the largest diagonal entry
+        # would call the unscaled pivots degenerate; each is judged against its own.
+        d = np.where(np.arange(n) % 2 == 1, 1e150, 1.0)
+        a = _random_spd(n)
+        b = np.random.default_rng(6).uniform(-1.0, 1.0, size=n)
+        x = solve_spd(a * d[:, None] * d[None, :], b * d)
+        want = solve_spd(a, b)
+        assert np.max(np.abs(x * d - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_blocked_factor_reports_failing_index(self):
         # n = 200 takes LAPACK's blocked path; row and column 150 duplicate 149.
         rng = np.random.default_rng(7)
@@ -205,7 +255,7 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite, match="index 150 "):
             solve_spd(a, np.ones(200))
 
-    @pytest.mark.parametrize("n", [3, 200])
+    @pytest.mark.parametrize("n", [3, 64, 65, 200])
     def test_large_factor_reads_lower_triangle(self, n):
         # An upper entry moved within SYMMETRY_RTOL of its mirror passes the scan, and the
         # factor, which never reads the strict upper triangle, gives the same bits.
