@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -287,6 +289,52 @@ class TestSolveSpd:
         x = solve_spd(a, b)
         residual = np.max(np.abs(a @ x - b))
         assert residual <= 1e-10 * max(np.max(np.abs(b)), 1e-30)
+
+
+def _order_one_and_two_cases():
+    """Seeded SPD systems of order 1 and 2, built entry by entry in Python floats.
+
+    Each matrix is ``L Lᵀ`` for a random lower factor, with its covariate column
+    (and row) scaled by 1e-7 to 1e150; each right-hand side, real or complex, of
+    shape (k,) or (k, 3), has its rows scaled to match and its columns scaled by
+    the same range.  Nothing here calls BLAS, so the inputs are the same bits on
+    every machine.
+    """
+    rng = random.Random(20)
+    scales = [1e-7, 1e-3, 1.0, 1e3, 1e7, 1e20, 1e75, 1e150]
+    for index in range(200):
+        k = 1 + index % 2
+        d = [1.0, rng.choice(scales)][2 - k :]
+        l00, l10, l11 = rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0), rng.uniform(1e-3, 10.0)
+        gram = [[l00 * l00, l10 * l00], [l10 * l00, l10 * l10 + l11 * l11]]
+        a = np.array([[gram[i][j] * d[i] * d[j] for j in range(k)] for i in range(k)])
+        for columns in (None, 3):
+            e = [1.0] if columns is None else [rng.choice(scales) for _ in range(columns)]
+            for kind in (float, complex):
+                def entry(i, c):
+                    u = rng.uniform(-1.0, 1.0)
+                    if kind is complex:
+                        u = complex(u, rng.uniform(-1.0, 1.0))
+                    return u * d[i] * e[c]
+
+                if columns is None:
+                    b = np.array([entry(i, 0) for i in range(k)])
+                else:
+                    b = np.array([[entry(i, c) for c in range(columns)] for i in range(k)])
+                yield a, b
+
+
+def test_orders_one_and_two_keep_their_bits():
+    # The trend Gram solves behind the golden CLI output: every result byte is frozen.
+    digest = hashlib.sha256()
+    count = 0
+    for a, b in _order_one_and_two_cases():
+        x = solve_spd(a, b)
+        assert x.shape == b.shape and x.dtype == b.dtype
+        digest.update(x.tobytes())
+        count += 1
+    assert count == 800
+    assert digest.hexdigest() == "902bcb2f3fbd726473c57dfdab29ff773735f1761ba16ca79a110521c058243b"
 
 
 def _verdict_by_rule(a):
