@@ -62,6 +62,8 @@ class ParseError(ValueError):
 def _parse_cell(cell: str) -> float:
     """The one rule for text to a finite float; the ValueError says what is wrong."""
     try:
+        if "_" in cell:  # float() reads Python's digit grouping, "1_0" as 10
+            raise ValueError
         value = float(cell)
     except ValueError:
         raise ValueError(f"not a number: {cell!r}") from None
@@ -289,6 +291,8 @@ def _at_point(text: str):
     if text == "zero-variance":
         return text  # resolved per command against the covariates
     try:
+        if "_" in text:  # digit grouping, as in _parse_cell
+            raise ValueError
         value = complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number or 'zero-variance': {text!r}")

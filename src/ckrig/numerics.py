@@ -6,18 +6,17 @@ container for complex results that come in conjugate pairs, which stores the
 plus branch and derives the minus branch as its conjugate.
 ``solve_spd`` splits its work by the order k of the system:
 
-- k <= 2 (constant and linear trend Gram matrices): a written-out Cholesky,
-  a few microseconds per call, whose bits the golden CLI output pins;
-- 2 < k <= ``_SMALL_ORDER`` (a small correlation matrix, such as a
-  ``--lambda`` file over a few dozen rows, or a ``columns`` basis): a numpy
-  column-by-column Cholesky, which costs at most ~1 ms and spares the
-  process the ~360 ms import of ``scipy.linalg``;
+- k <= ``_SMALL_ORDER`` (the constant and linear trend Gram matrices, a
+  ``columns`` basis, a ``--lambda`` file over a few dozen rows): a row-by-row
+  Cholesky in Python floats, a few microseconds at k <= 2, which spares the
+  process the ~360 ms import of ``scipy.linalg``; the golden CLI output pins
+  its bits at k <= 2;
 - larger k: LAPACK (``dpotrf``/``dpotrs``), the only path that imports scipy,
   whose blocked factorization the loop cannot approach at large k (and numpy
   has no triangular solve).
 
-Every order reads the lower triangle, and every path adds the relative pivot
-guard that LAPACK lacks.  The package's one rule
+Both paths read the lower triangle, and both add the relative pivot guard
+that LAPACK lacks.  The package's one rule
 for a matrix's entries, ``check_symmetric`` (finite, symmetric within
 ``SYMMETRY_RTOL``), lives here too; it scans matrices of order > 2 in square
 tiles, so it makes no temporary of the matrix's size.
@@ -37,10 +36,10 @@ SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-14
 # Edge of the square tiles in which ``check_symmetric`` scans matrices of order > 2.
 _TILE = 128
-# Largest order that ``solve_spd`` factors in numpy, without importing scipy.  The
-# column loop takes ~0.2 ms at order 11 and ~1 ms at order 64 against ~0.02 and
-# ~0.06 ms for LAPACK in a process that has scipy loaded, far below the ~360 ms
-# import it avoids; above this order LAPACK's speed matters more than the import.
+# Largest order that ``solve_spd`` factors in Python floats, without importing scipy.
+# The loop takes ~0.07 ms at order 11 and ~3 ms at order 64 (~0.3 and ~11 ms for two
+# right-hand-side columns) against ~0.02 and ~0.05 ms for LAPACK with scipy loaded, far
+# below the ~360 ms import it avoids; above it LAPACK's speed matters more than the import.
 _SMALL_ORDER = 64
 
 
@@ -101,10 +100,10 @@ def check_symmetric(a: np.ndarray) -> None:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
-    Three factorizations share one contract, chosen by the order k of ``a``:
-    k <= 2 is written out (the trend Gram matrices, solved on every query);
-    2 < k <= ``_SMALL_ORDER`` is a numpy column Cholesky, so small systems
-    never import scipy; larger k goes to LAPACK, which is faster there.
+    Two factorizations share one contract, chosen by the order k of ``a``:
+    k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats (the trend Gram
+    matrices, solved on every query, and small Λ), so small systems never
+    import scipy; larger k goes to LAPACK, which is faster there.
 
     Parameters
     ----------
@@ -155,54 +154,46 @@ def solve_spd(a, b) -> np.ndarray:
         if failed.any():
             raise _not_positive_definite(int(np.argmax(failed)))
         return cho_solve((upper, False), b, check_finite=False)
-    if k > 2:
-        return _column_cholesky_solve(a, b)
-
-    # Orders 1 and 2 written out.  Each division is a multiplication by the
-    # reciprocal, as OpenBLAS's kernels do, which keeps the factor equal to dpotrf's.
-    a00 = float(a[0, 0])
-    if not a00 > PIVOT_RTOL * a00:
-        raise _not_positive_definite(0)
-    r00 = 1.0 / math.sqrt(a00)
-    if k == 1:
-        return b * r00 * r00
-    y0 = b[0] * r00
-    l10 = float(a[1, 0]) * r00
-    a11 = float(a[1, 1])
-    pivot = a11 - l10 * l10
-    if not pivot > PIVOT_RTOL * a11:
-        raise _not_positive_definite(1)
-    r11 = 1.0 / math.sqrt(pivot)
-    x = np.empty_like(b)
-    x[1] = (b[1] - l10 * y0) * r11 * r11
-    x[0] = (y0 - l10 * x[1]) * r00
-    return x
+    return _small_cholesky_solve(a, b)
 
 
-def _column_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_spd``'s middle orders: the order-2 recurrence carried on to order k.
+def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_spd`` up to ``_SMALL_ORDER``: a row-by-row Cholesky in Python floats.
 
-    Column j of the factor is ``(a[j:, j] - L[j:, :j] @ L[j, :j]) / √pivot``,
-    whose first entry is the pivot ``a_jj − L[j,:j]·L[j,:j]``; the division is a
-    multiplication by the reciprocal, and only the lower triangle of ``a`` is read.
+    Row i of the factor is ``l_ij = (a_ij − Σ_{p<j} l_ip·l_jp) / √pivot_j`` for j < i,
+    then the pivot ``a_ii − Σ_{p<i} l_ip²``, each sum taken left to right.  Each division
+    is a multiplication by the reciprocal, as OpenBLAS's kernels do; only a's lower triangle is read.
     """
-    k = a.shape[0]
-    lower = np.zeros((k, k))
-    recip = np.empty(k)
-    for j in range(k):
-        column = a[j:, j] - lower[j:, :j] @ lower[j, :j]
-        pivot = column[0]
+    lower, recip = [], []
+    for i, row in enumerate(a.tolist()):
+        factor_row = []
+        for j in range(i):
+            s = row[j]
+            for lip, ljp in zip(factor_row, lower[j]):
+                s -= lip * ljp
+            factor_row.append(s * recip[j])
+        pivot = row[i]
+        for lip in factor_row:
+            pivot -= lip * lip
         # Written so that a NaN pivot, left by overflow, fails too.
-        if not pivot > PIVOT_RTOL * a[j, j]:
-            raise _not_positive_definite(j)
-        recip[j] = 1.0 / math.sqrt(pivot)
-        lower[j + 1 :, j] = column[1:] * recip[j]
-    x = b.copy()
-    for j in range(k):
-        x[j] = (x[j] - lower[j, :j] @ x[:j]) * recip[j]
-    for j in reversed(range(k)):
-        x[j] = (x[j] - lower[j + 1 :, j] @ x[j + 1 :]) * recip[j]
-    return x
+        if not pivot > PIVOT_RTOL * row[i]:
+            raise _not_positive_definite(i)
+        recip.append(1.0 / math.sqrt(pivot))
+        lower.append(factor_row)
+    k = len(lower)
+    # Rows of a 2-D b are views: ``s = s - …`` makes a new row where ``-=`` would write into b.
+    y = b.tolist() if b.ndim == 1 else list(b)
+    for i in range(k):
+        s = y[i]
+        for p in range(i):
+            s = s - lower[i][p] * y[p]
+        y[i] = s * recip[i]
+    for i in reversed(range(k)):
+        s = y[i]
+        for p in range(i + 1, k):
+            s = s - lower[p][i] * y[p]
+        y[i] = s * recip[i]
+    return np.array(y, dtype=b.dtype)
 
 
 def _real_array(values, what: str) -> np.ndarray:

@@ -285,6 +285,45 @@ class TestNumericInputRules:
         assert err.value.code == EXIT_INPUT
         assert f"non-finite value '{argv[-1]}'" in capsys.readouterr().err
 
+    # float() and complex() read Python's digit grouping, "1_0" as 10; no input may.
+    @pytest.mark.parametrize(
+        "csv,row,col,cell",
+        [("1_0,2\n2,3\n3,5\n", 1, 1, "1_0"), ("x,v\n1,2\n2,3_0\n3,5\n", 3, 2, "3_0")],
+        ids=["first-cell", "after-header"],
+    )
+    def test_digit_grouping_in_csv_exits_2(self, capsys, tmp_path, csv, row, col, cell):
+        p = tmp_path / "grouped.csv"
+        p.write_text(csv)
+        code, out, err = run_cli(capsys, "zero-points", str(p), "--json")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"row {row}, column {col}: not a number: '{cell}'" in err
+
+    def test_digit_grouping_in_lambda_exits_2(self, capsys, example_csv_path, tmp_path):
+        lam_file = tmp_path / "lam.txt"
+        cells = [["1_0" if i == j == 5 else str(float(i == j)) for j in range(11)] for i in range(11)]
+        lam_file.write_text("\n".join(" ".join(row) for row in cells))
+        code, out, err = run_cli(capsys, "fit", str(example_csv_path), "--lambda", str(lam_file))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "correlation file: not a number: '1_0'" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fit", "FILE", "--sigma2", "1_0"], "not a number: '1_0'"),
+            (["simulate", "--at", "1_0"], "not a number or 'zero-variance': '1_0'"),
+            (["simulate", "--at", "6+3_1j"], "not a number or 'zero-variance': '6+3_1j'"),
+        ],
+        ids=["fit-sigma2", "simulate-at", "simulate-at-complex"],
+    )
+    def test_digit_grouping_in_flag_exits_2(self, capsys, example_csv_path, argv, message):
+        argv = [str(example_csv_path) if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("at", [[], ["--at", "4.6"]], ids=["no-at", "at"])
     def test_negative_sigma2_exits_2(self, capsys, example_csv_path, at):
         code, out, err = run_cli(capsys, "fit", str(example_csv_path), "--sigma2", "-1", *at)

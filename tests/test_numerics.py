@@ -155,7 +155,7 @@ class TestSolveSpd:
     )
     @pytest.mark.parametrize("columns", [None, 3])
     def test_small_solve_keeps_shape_and_promoted_dtype(self, k, b, columns):
-        # Order 11 takes the numpy column loop; the tridiagonal matrix is SPD at every order.
+        # Order 11 takes the Python-float loop; the tridiagonal matrix is SPD at every order.
         b = np.resize(np.asarray(b), k)
         if columns is not None:
             b = np.repeat(b[:, None], columns, axis=1)
@@ -178,7 +178,7 @@ class TestSolveSpd:
     def test_solve_agrees_with_lapack_across_orders(self, k, rhs):
         from scipy.linalg import cho_factor, cho_solve
 
-        # Orders 3 to 64 take the numpy column loop, 65 LAPACK; every one agrees with
+        # Orders 3 to 64 take the Python-float loop, 65 LAPACK; every one agrees with
         # scipy's cho_solve on well-conditioned matrices within 4k·eps·cond(a).
         rng = np.random.default_rng(k)
         for _ in range(5):
@@ -229,7 +229,7 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("j", [1, 20, 39])
     def test_column_loop_reports_failing_index(self, j):
-        # n = 40 takes the numpy column loop; row and column j duplicate j - 1.
+        # n = 40 takes the Python-float loop; row and column j duplicate j - 1.
         a = _random_spd(40)
         a[j, :] = a[j - 1, :]
         a[:, j] = a[:, j - 1]
@@ -266,6 +266,22 @@ class TestSolveSpd:
         perturbed = _with_entry(a, (0, n - 1), a[0, n - 1] * (1.0 + 1e-13))
         assert perturbed[0, n - 1] != a[0, n - 1]
         assert np.array_equal(solve_spd(perturbed, b), solve_spd(a, b))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("rhs", ["real", "complex", "real-2d", "complex-2d"])
+    def test_inputs_left_unchanged(self, k, rhs):
+        # b of the working dtype is used as is, so an in-place update of one of its
+        # rows would write into the caller's array.
+        rng = np.random.default_rng(k)
+        a = _random_spd(k)
+        b = rng.normal(size=(k, 3) if rhs.endswith("2d") else k)
+        if rhs.startswith("complex"):
+            b = b + 1j * rng.normal(size=b.shape)
+        a_before, b_before = a.copy(), b.copy()
+        x = solve_spd(a, b)
+        assert not np.shares_memory(x, b)
+        assert a.tobytes() == a_before.tobytes()
+        assert b.tobytes() == b_before.tobytes()
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
