@@ -14,6 +14,7 @@ double precision), 3 degenerate mathematics.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -59,15 +60,19 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _parse_cell(cell: str) -> float:
-    """The one rule for text to a finite float; the ValueError says what is wrong."""
+def _parse_cell(cell: str, kind: type = float, expected: str = "a number"):
+    """The one rule for text to a finite float, complex or int (``kind``).
+
+    The ValueError says what is wrong; ``expected`` names what the text is not.
+    """
     try:
-        if "_" in cell:  # float() reads Python's digit grouping, "1_0" as 10
+        if "_" in cell:  # float(), complex() and int() read Python's digit grouping, "1_0" as 10
             raise ValueError
-        value = float(cell)
+        value = kind(cell)
     except ValueError:
-        raise ValueError(f"not a number: {cell!r}") from None
-    if not isfinite(value):
+        raise ValueError(f"not {expected}: {cell!r}") from None
+    # An int is finite, and cmath.isfinite would overflow on one of 309 digits or more.
+    if kind is not int and not cmath.isfinite(value):
         raise ValueError(f"non-finite value {cell!r}")
     return value
 
@@ -287,25 +292,26 @@ def cmd_simulate(args) -> dict:
     }
 
 
+def _flag(kind: type = float, expected: str = "a number"):
+    """An argparse type: ``_parse_cell`` for ``kind``, with its message as the usage error."""
+
+    def parse(text: str):
+        try:
+            return _parse_cell(text, kind, expected)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_real_point = _flag(float)
+_integer = _flag(int)
+_complex_point = _flag(complex, "a number or 'zero-variance'")
+
+
 def _at_point(text: str):
-    if text == "zero-variance":
-        return text  # resolved per command against the covariates
-    try:
-        if "_" in text:  # digit grouping, as in _parse_cell
-            raise ValueError
-        value = complex(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number or 'zero-variance': {text!r}")
-    if not (isfinite(value.real) and isfinite(value.imag)):
-        raise argparse.ArgumentTypeError("evaluation point must be finite")
-    return value
-
-
-def _real_point(text: str) -> float:
-    try:
-        return _parse_cell(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    # 'zero-variance' is resolved per command against the covariates.
+    return text if text == "zero-variance" else _complex_point(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     zero.set_defaults(handler=cmd_zero_points)
 
     sim = sub.add_parser("simulate", help="Monte-Carlo error moments of the predictor")
-    sim.add_argument("--n", type=int, default=11, help="sample size; covariates are 1..n")
+    sim.add_argument("--n", type=_integer, default=11, help="sample size; covariates are 1..n")
     sim.add_argument("--beta1", type=_real_point, default=0.0, help="true intercept")
     sim.add_argument("--beta2", type=_real_point, default=0.0, help="true slope")
     sim.add_argument("--sigma", type=_real_point, default=1.0, help="noise standard deviation")
-    sim.add_argument("--replicates", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--replicates", type=_integer, default=1000)
+    sim.add_argument("--seed", type=_integer, default=0)
     sim.add_argument("--noise", choices=("gaussian", "uniform"), default="gaussian")
     sim.add_argument(
         "--at",

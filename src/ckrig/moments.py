@@ -30,6 +30,10 @@ from .numerics import ConjugatePair
 # Covariate spread σ_n at or below this (relative to |m_n|, the covariate
 # mean) leaves no imaginary direction to continue into.
 DEGENERATE_SPREAD_RTOL = 1e-14
+# A one-pass spread m_sn - m_n² at or below this fraction of m_n² has lost about ten of
+# its 53 bits or more to cancellation (covariates far from zero, such as timestamps, or
+# nearly equal ones), so it is taken again in two passes, mean((x - m_n)²).
+_ONE_PASS_SPREAD_RTOL = 2.0**-10
 
 
 class DegenerateCovariates(ValueError):
@@ -82,12 +86,20 @@ class ComplexMoments:
 
 
 def index_moments(covariates) -> IndexMoments:
-    """Sample moments m_n = mean(x), m_sn = mean(x²), σ_n = sqrt(m_sn - m_n²)."""
+    """Sample moments m_n = mean(x), m_sn = mean(x²), σ_n = sqrt(m_sn - m_n²).
+
+    σ_n² is the one-pass m_sn - m_n² unless that is not above ``_ONE_PASS_SPREAD_RTOL``·m_n²,
+    where it is the two-pass mean((x - m_n)²) (Chan, Golub & LeVeque, Am. Stat. 1983).
+    """
     x = _real_vector(covariates, "covariates")
     m_n = float(np.mean(x))
     m_sn = float(np.mean(x * x))
-    # Exactly 0 for equal covariates, where m_sn - m_n² can leave a roundoff residue.
-    spread = 0.0 if x.min() == x.max() else max(m_sn - m_n * m_n, 0.0)
+    spread = m_sn - m_n * m_n
+    if x.min() == x.max():
+        spread = 0.0  # exactly, where m_sn - m_n² can leave a roundoff residue
+    elif not spread > _ONE_PASS_SPREAD_RTOL * (m_n * m_n):
+        d = x - m_n
+        spread = float(np.mean(d * d))
     return IndexMoments(m_n=m_n, m_sn=m_sn, sigma_n=math.sqrt(spread))
 
 

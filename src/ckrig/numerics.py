@@ -6,20 +6,19 @@ container for complex results that come in conjugate pairs, which stores the
 plus branch and derives the minus branch as its conjugate.
 ``solve_spd`` splits its work by the order k of the system:
 
-- k <= ``_SMALL_ORDER`` (the constant and linear trend Gram matrices, a
-  ``columns`` basis, a ``--lambda`` file over a few dozen rows): a row-by-row
-  Cholesky in Python floats, a few microseconds at k <= 2, which spares the
-  process the ~360 ms import of ``scipy.linalg``; the golden CLI output pins
-  its bits at k <= 2;
+- k <= ``_SMALL_ORDER`` (trend Gram matrices, a ``columns`` basis, a ``--lambda``
+  file over a few dozen rows): a row-by-row Cholesky in Python floats, a few
+  microseconds at k <= 2, sparing the ~360 ms import of ``scipy.linalg``; the
+  golden CLI output pins its bits at k <= 2;
 - larger k: LAPACK (``dpotrf``/``dpotrs``), the only path that imports scipy,
   whose blocked factorization the loop cannot approach at large k (and numpy
   has no triangular solve).
 
 Both paths read the lower triangle, and both add the relative pivot guard
-that LAPACK lacks.  The package's one rule
-for a matrix's entries, ``check_symmetric`` (finite, symmetric within
-``SYMMETRY_RTOL``), lives here too; it scans matrices of order > 2 in square
-tiles, so it makes no temporary of the matrix's size.
+that LAPACK lacks.  The package's one rule for a matrix's entries,
+``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``), lives here
+too; it scans matrices of order > 2 in square tiles, so it makes no
+temporary of the matrix's size.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ PIVOT_RTOL = 1e-14
 # Edge of the square tiles in which ``check_symmetric`` scans matrices of order > 2.
 _TILE = 128
 # Largest order that ``solve_spd`` factors in Python floats, without importing scipy.
-# The loop takes ~0.07 ms at order 11 and ~3 ms at order 64 (~0.3 and ~11 ms for two
+# The loop takes ~0.06 ms at order 11 and ~2.6 ms at order 64 (~0.07 and ~2.7 ms for two
 # right-hand-side columns) against ~0.02 and ~0.05 ms for LAPACK with scipy loaded, far
 # below the ~360 ms import it avoids; above it LAPACK's speed matters more than the import.
 _SMALL_ORDER = 64
@@ -101,9 +100,9 @@ def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
     Two factorizations share one contract, chosen by the order k of ``a``:
-    k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats (the trend Gram
-    matrices, solved on every query, and small Λ), so small systems never
-    import scipy; larger k goes to LAPACK, which is faster there.
+    k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats with one
+    substitution per column of ``b`` (the trend Gram matrices and small Λ), so
+    small systems never import scipy; larger k goes to LAPACK, faster there.
 
     Parameters
     ----------
@@ -163,6 +162,7 @@ def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Row i of the factor is ``l_ij = (a_ij − Σ_{p<j} l_ip·l_jp) / √pivot_j`` for j < i,
     then the pivot ``a_ii − Σ_{p<i} l_ip²``, each sum taken left to right.  Each division
     is a multiplication by the reciprocal, as OpenBLAS's kernels do; only a's lower triangle is read.
+    Then each column of b, as a list of Python numbers, is substituted forward and back alone.
     """
     lower, recip = [], []
     for i, row in enumerate(a.tolist()):
@@ -181,19 +181,21 @@ def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         recip.append(1.0 / math.sqrt(pivot))
         lower.append(factor_row)
     k = len(lower)
-    # Rows of a 2-D b are views: ``s = s - …`` makes a new row where ``-=`` would write into b.
-    y = b.tolist() if b.ndim == 1 else list(b)
-    for i in range(k):
-        s = y[i]
-        for p in range(i):
-            s = s - lower[i][p] * y[p]
-        y[i] = s * recip[i]
-    for i in reversed(range(k)):
-        s = y[i]
-        for p in range(i + 1, k):
-            s = s - lower[p][i] * y[p]
-        y[i] = s * recip[i]
-    return np.array(y, dtype=b.dtype)
+    columns = [b.tolist()] if b.ndim == 1 else b.T.tolist()
+    for y in columns:
+        for i in range(k):
+            s = y[i]
+            for p in range(i):
+                s -= lower[i][p] * y[p]
+            y[i] = s * recip[i]
+        for i in reversed(range(k)):
+            s = y[i]
+            for p in range(i + 1, k):
+                s -= lower[p][i] * y[p]
+            y[i] = s * recip[i]
+    if b.ndim == 1:
+        return np.array(columns[0], dtype=b.dtype)
+    return np.array(columns, dtype=b.dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
 
 
 def _real_array(values, what: str) -> np.ndarray:

@@ -314,8 +314,18 @@ class TestNumericInputRules:
             (["fit", "FILE", "--sigma2", "1_0"], "not a number: '1_0'"),
             (["simulate", "--at", "1_0"], "not a number or 'zero-variance': '1_0'"),
             (["simulate", "--at", "6+3_1j"], "not a number or 'zero-variance': '6+3_1j'"),
+            (["simulate", "--n", "1_000"], "not a number: '1_000'"),
+            (["simulate", "--replicates", "1_000"], "not a number: '1_000'"),
+            (["simulate", "--seed", "1_000"], "not a number: '1_000'"),
         ],
-        ids=["fit-sigma2", "simulate-at", "simulate-at-complex"],
+        ids=[
+            "fit-sigma2",
+            "simulate-at",
+            "simulate-at-complex",
+            "simulate-n",
+            "simulate-replicates",
+            "simulate-seed",
+        ],
     )
     def test_digit_grouping_in_flag_exits_2(self, capsys, example_csv_path, argv, message):
         argv = [str(example_csv_path) if a == "FILE" else a for a in argv]
@@ -323,6 +333,11 @@ class TestNumericInputRules:
             main(argv)
         assert err.value.code == EXIT_INPUT
         assert message in capsys.readouterr().err
+
+    def test_integer_flag_of_400_digits_parses(self):
+        # An int is never checked for finiteness, which would overflow a float.
+        args = cli.build_parser().parse_args(["simulate", "--replicates", "1" + "0" * 400])
+        assert args.replicates == 10**400
 
     @pytest.mark.parametrize("at", [[], ["--at", "4.6"]], ids=["no-at", "at"])
     def test_negative_sigma2_exits_2(self, capsys, example_csv_path, at):
@@ -524,6 +539,16 @@ class TestZeroPointsCommand:
         p.write_text("3.0,1.0\n3.0,2.0\n")
         code, _, _ = run_cli(capsys, "zero-points", str(p))
         assert code == EXIT_DEGENERATE
+
+    @pytest.mark.parametrize("x", [3.0, 0.5])
+    def test_nearly_equal_covariates_degenerate(self, capsys, tmp_path, x):
+        # Two copies of x and the next float above it: a spread of one ulp.
+        p = tmp_path / "near.csv"
+        p.write_text(f"{x!r},1\n{x!r},2\n{float(np.nextafter(x, 2 * x))!r},3\n")
+        code, out, err = run_cli(capsys, "zero-points", str(p))
+        assert code == EXIT_DEGENERATE
+        assert out == ""
+        assert "no finite spread" in err
 
     @pytest.mark.parametrize("command", ["zero-points", "complex-mean"])
     def test_equal_covariates_with_roundoff_spread_degenerate(self, capsys, tmp_path, command):

@@ -57,6 +57,15 @@ class TestIndexMoments:
         with pytest.raises(EmptySample):
             index_moments([])
 
+    @pytest.mark.parametrize(
+        "x,sigma_n",
+        [([1e8, 1e8 + 1.0], 0.5), (1.7e9 + np.arange(1.0, 12.0), math.sqrt(10.0))],
+        ids=["1e8", "timestamps"],
+    )
+    def test_shifted_covariates_spread_from_two_passes(self, x, sigma_n):
+        # The one-pass m_sn - m_n² cancels to roundoff here; two passes are exact.
+        assert index_moments(x).sigma_n == sigma_n
+
     @pytest.mark.parametrize("moments_of", [index_moments, zero_variance_points])
     def test_matrix_rejected_not_flattened(self, moments_of):
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -84,6 +93,15 @@ class TestZeroVariancePoints:
     def test_single_point_degenerate(self):
         with pytest.raises(DegenerateCovariates):
             zero_variance_points([1.0])
+
+    @pytest.mark.parametrize("c", [3.0, 0.5])
+    def test_nearly_equal_covariates_degenerate(self, c):
+        # One ulp of spread: the one-pass σ_n was a roundoff residue ~1e8 times too large.
+        x = [c, c, float(np.nextafter(c, 2 * c))]
+        with pytest.raises(DegenerateCovariates):
+            zero_variance_points(x)
+        with pytest.raises(DegenerateCovariates):
+            complex_mean(Sample(covariates=x, observations=[1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize("x", [[1e200, 2e200], [-2e154, 0.0, 2e154]], ids=["nan", "inf"])
     def test_overflowing_moments_degenerate(self, x):

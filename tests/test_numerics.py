@@ -283,6 +283,26 @@ class TestSolveSpd:
         assert a.tobytes() == a_before.tobytes()
         assert b.tobytes() == b_before.tobytes()
 
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_two_dimensional_solve_equals_its_columns(self, kind):
+        # Each column of a 2-D right-hand side is solved as if it were alone, to the bit.
+        rng = np.random.default_rng(14)
+        for k in range(1, 65):
+            m = rng.uniform(-1.0, 1.0, size=(k, k))
+            a = m.T @ m + np.eye(k)
+            b = rng.normal(size=(k, 3)).astype(kind)
+            if kind is complex:
+                b += 1j * rng.normal(size=(k, 3))
+            x = solve_spd(a, b)
+            assert x.flags.c_contiguous and x.dtype == np.dtype(kind) and x.shape == (k, 3)
+            for j in range(3):
+                assert x[:, j].tobytes() == solve_spd(a, b[:, j]).tobytes(), (k, j)
+
+    @pytest.mark.parametrize("k", [2, 65])
+    def test_no_right_hand_side_columns(self, k):
+        x = solve_spd(_random_spd(k), np.ones((k, 0)))
+        assert x.shape == (k, 0) and x.dtype == np.float64
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             solve_spd(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.0, 1.0]))
