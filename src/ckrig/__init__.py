@@ -7,87 +7,16 @@ conjugate pair of complex roots built from the covariate moments; evaluating
 the predictor there yields complex-valued mean and variance statistics whose
 real parts are the classical ones.  This package provides the linear-algebra
 core, the complex-point statistics, Monte-Carlo validation machinery, and a
-CLI.
+CLI.  Each module's ``__all__`` names its public objects; the package
+re-exports them all.
 """
 
-from .kriging import (
-    DegenerateDesign,
-    DesignMatrix,
-    EmptySample,
-    GramConditionWarning,
-    KrigingSolution,
-    LengthMismatch,
-    Sample,
-    TrendBasis,
-    UnsupportedComplexBasis,
-    build_design,
-    feature_vector,
-    gls_beta,
-    kriging_weights,
-    predict,
-    prediction_error_variance,
-    trend_variance,
-)
-from .moments import (
-    ComplexMoments,
-    DegenerateCovariates,
-    IndexMoments,
-    complex_mean,
-    complex_variance,
-    constant_mean_variance,
-    imaginary_standard_error,
-    index_moments,
-    real_standard_error,
-    slope,
-    zero_variance_points,
-)
-from .numerics import ConjugatePair, NotPositiveDefinite, solve_spd
-from .validation import (
-    MonteCarloReport,
-    SimulationConfig,
-    SingularSystem,
-    kkt_solve,
-    monte_carlo_mse,
-    simulate_process,
-)
+from . import kriging, moments, numerics, validation
+from .kriging import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .validation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexMoments",
-    "ConjugatePair",
-    "DegenerateCovariates",
-    "DegenerateDesign",
-    "DesignMatrix",
-    "EmptySample",
-    "GramConditionWarning",
-    "IndexMoments",
-    "KrigingSolution",
-    "LengthMismatch",
-    "MonteCarloReport",
-    "NotPositiveDefinite",
-    "Sample",
-    "SimulationConfig",
-    "SingularSystem",
-    "TrendBasis",
-    "UnsupportedComplexBasis",
-    "build_design",
-    "complex_mean",
-    "complex_variance",
-    "constant_mean_variance",
-    "feature_vector",
-    "gls_beta",
-    "imaginary_standard_error",
-    "index_moments",
-    "kkt_solve",
-    "kriging_weights",
-    "monte_carlo_mse",
-    "predict",
-    "prediction_error_variance",
-    "real_standard_error",
-    "simulate_process",
-    "slope",
-    "solve_spd",
-    "trend_variance",
-    "zero_variance_points",
-]
+__all__ = kriging.__all__ + moments.__all__ + numerics.__all__ + validation.__all__

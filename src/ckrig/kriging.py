@@ -20,6 +20,7 @@ deliberate.  A Hermitian form would be strictly positive at those roots.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import _real_array, check_symmetric, solve_spd
+from .numerics import _numeric_array, _real_array, check_symmetric, solve_spd
 
 # Warn (do not fail) when the trend Gram matrix is worse conditioned than this.
 GRAM_CONDITION_LIMIT = 1e8
@@ -189,9 +190,7 @@ def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
     elif basis.kind == "linear":
         F = np.column_stack([np.ones(x.size), x])
     else:
-        F = np.column_stack([[float(fn(xi)) for xi in x] for fn in basis.functions])
-        if not np.isfinite(F).all():
-            raise ValueError("basis values must be finite")
+        F = _column_values(basis, x)
     F.flags.writeable = False
     return DesignMatrix._adopt(F)
 
@@ -201,9 +200,10 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
 
     Constant yields (1,), linear (1, point).  Column bases have no implied
     complex extension, so a nonzero imaginary part raises
-    :class:`UnsupportedComplexBasis`; real points evaluate the user columns.
+    :class:`UnsupportedComplexBasis`; real points evaluate the user columns,
+    whose values must be finite.  A text point raises ``ValueError``.
     """
-    z = complex(point)
+    z = complex(_numeric_array(point, "evaluation point"))
     if not np.isfinite(z):
         raise ValueError("evaluation point must be finite")
     if basis.kind == "constant":
@@ -217,7 +217,15 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
             "column bases are only defined at real points; supply complex "
             "feature values directly if the extension is known"
         )
-    return np.array([float(fn(z.real)) for fn in basis.functions])
+    return _column_values(basis, [z.real])[0]
+
+
+def _column_values(basis: TrendBasis, points) -> np.ndarray:
+    """A columns basis at real ``points``, one row per point; every value must be finite."""
+    F = np.column_stack([[float(fn(p)) for p in points] for fn in basis.functions])
+    if not np.isfinite(F).all():
+        raise ValueError("basis values must be finite")
+    return F
 
 
 def _real_vector(values, what: str) -> np.ndarray:
@@ -234,7 +242,7 @@ def _real_vector(values, what: str) -> np.ndarray:
 
 def _feature_values(feature, k: int) -> np.ndarray:
     """The feature-vector rule: k finite (real or complex) trend basis values."""
-    f = np.atleast_1d(np.asarray(feature))
+    f = np.atleast_1d(_numeric_array(feature, "feature vector"))
     if f.shape != (k,):
         raise LengthMismatch(f"feature vector must have length {k}, got {f.shape}")
     if not np.isfinite(f).all():
@@ -258,7 +266,11 @@ def _count(value, what: str, low: int = 1, high: Optional[int] = None) -> int:
 
 
 def _noise_scale(value, what: str):
-    """The noise-scale rule for σ² and σ: finite and non-negative (NaN fails both bounds)."""
+    """The noise-scale rule for σ² and σ: a real number, finite and non-negative (NaN fails both bounds)."""
+    # Text and complex values would fail to compare.  float is named first, as the check
+    # against the abstract class alone takes ~1 µs, and each trend_variance call pays it.
+    if not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
     if not 0.0 <= value < np.inf:
         raise ValueError(f"{what} must be finite and non-negative")
     return value
@@ -420,3 +432,23 @@ def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1
         check_symmetric(lam)
         quad = np.dot(w, lam @ w)
     return complex(sigma2 * (1.0 + quad))
+
+
+__all__ = [
+    "DegenerateDesign",
+    "DesignMatrix",
+    "EmptySample",
+    "GramConditionWarning",
+    "KrigingSolution",
+    "LengthMismatch",
+    "Sample",
+    "TrendBasis",
+    "UnsupportedComplexBasis",
+    "build_design",
+    "feature_vector",
+    "gls_beta",
+    "kriging_weights",
+    "predict",
+    "prediction_error_variance",
+    "trend_variance",
+]

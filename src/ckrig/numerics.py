@@ -126,7 +126,7 @@ def solve_spd(a, b) -> np.ndarray:
         design.
     ValueError
         For non-square, complex, non-finite or materially asymmetric input,
-        or a ``b`` of any other shape.
+        text in ``a`` or ``b``, or a ``b`` of any other shape.
     """
     a = _real_array(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -134,7 +134,7 @@ def solve_spd(a, b) -> np.ndarray:
     check_symmetric(a)
 
     k = a.shape[0]
-    b = np.asarray(b)
+    b = _numeric_array(b, "right-hand side")
     if b.ndim not in (1, 2) or b.shape[0] != k:
         raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
     b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
@@ -198,9 +198,19 @@ def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(columns, dtype=b.dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """The real-array rule: ``values`` as floats; a complex dtype, which a cast would cut, raises."""
+def _numeric_array(values, what: str) -> np.ndarray:
+    """The numeric-array rule: ``values`` as an array; text, which numpy and ``complex()``
+    would parse ("1_0" as 10), raises, as does a list holding any str (numpy makes it text)."""
     x = np.asarray(values)
+    if x.dtype.kind in "US":
+        raise ValueError(f"{what} must be numeric, not text")
+    return x
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """The real-array rule: ``values`` as floats; a complex dtype, which a cast would cut,
+    raises, as does text (``_numeric_array``)."""
+    x = _numeric_array(values, what)
     if np.iscomplexobj(x):
         raise ValueError(f"{what} must be real")
     return x.astype(float, copy=False)
@@ -215,3 +225,10 @@ def _not_positive_definite(j: int) -> NotPositiveDefinite:
         f"pivot at index {j} is not above {PIVOT_RTOL:g} of its diagonal entry; "
         "the system is numerically degenerate"
     )
+
+
+__all__ = [
+    "ConjugatePair",
+    "NotPositiveDefinite",
+    "solve_spd",
+]

@@ -183,3 +183,13 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
         bilinear_mse=complex(np.mean(errors * errors)),
         replicates_used=config.replicates,
     )
+
+
+__all__ = [
+    "MonteCarloReport",
+    "SimulationConfig",
+    "SingularSystem",
+    "kkt_solve",
+    "monte_carlo_mse",
+    "simulate_process",
+]

@@ -58,6 +58,16 @@ class TestParseCsv:
         with pytest.raises(ParseError):
             parse_csv("1,2,3\n")
 
+    def test_three_cell_header_rejected(self, capsys, tmp_path):
+        with pytest.raises(ParseError, match="expected 2 columns, found 3") as err:
+            parse_csv("x,v,w\n1,2\n3,4\n")
+        assert (err.value.row, err.value.col) == (1, 1)
+        p = tmp_path / "header.csv"
+        p.write_text("x,v,w\n1,2\n3,4\n")
+        code, out, err_text = run_cli(capsys, "zero-points", str(p))
+        assert code == EXIT_INPUT and out == ""
+        assert "row 1, column 1" in err_text
+
     def test_missing_cell_rejected(self):
         with pytest.raises(ParseError):
             parse_csv("x,v\n1.7,\n")

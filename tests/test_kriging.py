@@ -28,6 +28,7 @@ from ckrig import (
     prediction_error_variance,
     solve_spd,
     trend_variance,
+    zero_variance_points,
 )
 from ckrig import kriging, numerics
 from ckrig.kriging import _check_correlation
@@ -117,6 +118,16 @@ class TestBuildDesign:
             build_design(basis, [1.0, 2.0, 3.0, 4.0])
 
 
+class TestTrendBasis:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            TrendBasis("quadratic")
+
+    def test_columns_without_functions_rejected(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            TrendBasis("columns")
+
+
 class TestDesignMatrixOwnership:
     def test_caller_array_copied_and_frozen(self):
         F = np.column_stack([np.ones(11), EXAMPLE_X])
@@ -194,6 +205,17 @@ class TestFeatureVector:
     def test_columns_complex_rejected(self):
         with pytest.raises(UnsupportedComplexBasis):
             feature_vector(TrendBasis.columns(lambda t: t), 1.0 + 1.0j)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_columns_value_rejected(self, value):
+        # The rule build_design applies to the same basis.
+        with pytest.raises(ValueError, match="basis values must be finite"):
+            feature_vector(TrendBasis.columns(lambda t: 1.0, lambda t: value), 1.0)
+
+    @pytest.mark.parametrize("point", [np.inf, complex(1.0, np.nan)])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(ValueError, match="evaluation point must be finite"):
+            feature_vector(TrendBasis.linear(), point)
 
 
 class TestGlsBeta:
@@ -511,6 +533,23 @@ def test_bad_correlation_is_input_error(kind, path):
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize(
+    "path", ["gls_beta", "kriging_weights", "prediction_error_variance", "kkt_solve"]
+)
+def test_wrong_shaped_correlation_rejected(path):
+    d = build_design(TrendBasis.linear(), [1.0, 2.0, 3.0, 4.0, 5.0])
+    lam = np.eye(4)
+    with pytest.raises(ValueError, match="correlation matrix must be 5x5"):
+        if path == "gls_beta":
+            gls_beta(d, lam, [1.0, 2.0, 3.0, 4.0, 5.0])
+        elif path == "kriging_weights":
+            kriging_weights(d, lam, [1.0, 3.0])
+        elif path == "prediction_error_variance":
+            prediction_error_variance(kriging_weights(d, None, [1.0, 3.0]), lam)
+        else:
+            kkt_solve(d, lam, [1.0, 3.0])
+
+
 def test_correlation_check_makes_no_matrix_sized_temporary():
     # Finiteness is left to the tiled symmetry scan, which makes no n×n temporary.
     lam = np.eye(2000)
@@ -573,6 +612,50 @@ def test_complex_input_rejected(entry, container):
     with pytest.raises(ValueError, match="must be real$") as err:
         call(value.tolist() if container == "list" else value)
     assert type(err.value) is ValueError
+
+
+# "1_0" is 10 to Python's float() and complex() and to numpy's cast; a list with one
+# str in it becomes a text array.
+_TEXT, _MIXED, _TEXT_LAMBDA = ["1_0", "2", "3", "4"], ["1_0", 2.0, 3.0, 4.0], np.eye(4).astype(str)
+
+
+def _solution4():
+    return kriging_weights(_linear4(), None, [1.0, 2.5])
+
+
+_TEXT_INPUTS = {
+    "Sample-covariates": lambda: Sample(covariates=_TEXT, observations=_X4),
+    "Sample-observations-mixed": lambda: Sample(covariates=_X4, observations=_MIXED),
+    "DesignMatrix": lambda: DesignMatrix([["1", "2"], ["1", "3"]]),
+    "build_design": lambda: build_design(TrendBasis.linear(), _TEXT),
+    "index_moments": lambda: index_moments(_MIXED),
+    "zero_variance_points": lambda: zero_variance_points(_TEXT),
+    "SimulationConfig-covariates": lambda: _config(covariates=_TEXT),
+    "SimulationConfig-beta": lambda: _config(beta=("1", 0.5)),
+    "SimulationConfig-sigma": lambda: _config(sigma="1"),
+    "gls_beta-obs": lambda: gls_beta(_linear4(), None, _TEXT),
+    "gls_beta-corr": lambda: gls_beta(_linear4(), _TEXT_LAMBDA, _X4),
+    "kriging_weights-feature": lambda: kriging_weights(_linear4(), None, ["1", "2.5"]),
+    "kriging_weights-obs": lambda: kriging_weights(_linear4(), None, [1.0, 2.5], obs=_MIXED),
+    "kkt_solve-feature": lambda: kkt_solve(_linear4(), None, [1.0, "2.5"]),
+    "predict-obs": lambda: predict(_solution4(), _TEXT),
+    "feature_vector": lambda: feature_vector(TrendBasis.linear(), "1_0"),
+    "feature_vector-bytes": lambda: feature_vector(TrendBasis.linear(), b"1"),
+    "trend_variance-text": lambda: trend_variance(_solution4(), "1"),
+    "trend_variance-complex": lambda: trend_variance(_solution4(), 1j),
+    "prediction_error_variance": lambda: prediction_error_variance(_solution4(), None, "1"),
+    "constant_mean_variance": lambda: constant_mean_variance(4, "1"),
+    "solve_spd-matrix": lambda: solve_spd(np.eye(2).astype(str), [1.0, 1.0]),
+    "solve_spd-rhs": lambda: solve_spd(np.eye(2), ["1_0", "1"]),
+    "solve_spd-rhs-bytes": lambda: solve_spd(np.eye(2), np.array([b"1", b"1"])),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TEXT_INPUTS))
+def test_text_input_rejected(entry):
+    # A ValueError, not a parsed number or a TypeError: the CLI is the one place text is read.
+    with pytest.raises(ValueError):
+        _TEXT_INPUTS[entry]()
 
 
 # --- module invariants -------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ckrig import (
+    DesignMatrix,
     SimulationConfig,
     SingularSystem,
     TrendBasis,
@@ -42,6 +43,13 @@ class TestKktSolve:
         d = build_design(TrendBasis.linear(), [5.0, 5.0, 5.0])
         with pytest.raises(SingularSystem):
             kkt_solve(d, None, [1.0, 5.0])
+
+    def test_residual_above_tolerance_singular(self):
+        # Two columns 1e-14 apart: the solve succeeds, but its residual (~2.5e-5) fails the check.
+        t = np.linspace(0.0, 1.0, 6)
+        d = DesignMatrix(np.column_stack([np.ones(6), t, t + 1e-14]))
+        with pytest.raises(SingularSystem, match="residual .* exceeds"):
+            kkt_solve(d, None, [1.0, 0.5, 0.5 + 1e-14])
 
     def test_feature_length_checked(self):
         d = build_design(TrendBasis.linear(), [1.0, 2.0])
