@@ -309,8 +309,10 @@ def _gram(F: np.ndarray, lam_inv_F: np.ndarray) -> np.ndarray:
 
 def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray]:
     """Return (Λ⁻¹F, F'Λ⁻¹F).  ``corr=None`` is white noise: (F, the design's
-    once-formed read-only Gram matrix).  A dense Λ is checked, solved with and
-    its Gram matrix formed on every call, and never touches the cached one."""
+    once-formed read-only Gram matrix).  A dense Λ has its shape and diagonal
+    checked and its Gram matrix formed on every call, and never touches the
+    cached one; ``solve_spd`` scans and solves it, and above order 64 returns
+    the kept Λ⁻¹F when the same Λ and F were solved before."""
     if corr is None:
         return design.F, design._white_gram
     lam = _check_correlation(corr, design.n)

@@ -109,17 +109,20 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     lam = np.eye(n) if corr is None else _check_correlation(corr, n)
     check_symmetric(lam)
 
-    bordered = np.zeros((n + k, n + k))
+    # Built in the solve's dtype (a cast would copy it), and freed before the residuals are formed.
+    dtype = np.result_type(f.dtype, float)
+    bordered = np.zeros((n + k, n + k), dtype=dtype)
     bordered[:n, :n] = lam
     bordered[:n, n:] = F
     bordered[n:, :n] = F.T
-    rhs = np.zeros(n + k, dtype=np.result_type(f.dtype, float))
+    rhs = np.zeros(n + k, dtype=dtype)
     rhs[n:] = f
 
     try:
-        solution = np.linalg.solve(bordered.astype(rhs.dtype), rhs)
+        solution = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("bordered kriging system is singular") from exc
+    del bordered
 
     weights, multipliers = solution[:n], solution[n:]
     scale = max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(lam))))

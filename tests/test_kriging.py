@@ -658,6 +658,30 @@ def test_text_input_rejected(entry):
         _TEXT_INPUTS[entry]()
 
 
+_OBJECT_TEXT_INPUTS = {
+    "Sample-str": lambda: Sample(np.array(["1_0", 2, 3], dtype=object), [1.0, 2.0, 3.0]),
+    "Sample-bytes": lambda: Sample([1.0, 2.0, 3.0], np.array([1.0, b"2", 3.0], dtype=object)),
+    "solve_spd-rhs": lambda: solve_spd(np.eye(2), np.array(["1_0", 1], dtype=object)),
+    "solve_spd-matrix": lambda: solve_spd(np.array([[1.0, "0"], ["0", 1.0]], dtype=object), [1.0, 1.0]),
+    "feature_vector": lambda: feature_vector(TrendBasis.linear(), np.array("1_0", dtype=object)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_OBJECT_TEXT_INPUTS))
+def test_text_in_object_array_rejected(entry):
+    # A cast of an object array calls float() on each element, which parses "1_0" as 10.
+    with pytest.raises(ValueError, match="not text"):
+        _OBJECT_TEXT_INPUTS[entry]()
+
+
+def test_fraction_array_accepted():
+    from fractions import Fraction
+
+    half = np.array([Fraction(1, 2), 2, 3], dtype=object)
+    assert Sample(half, [1.0, 2.0, 3.0]).covariates.tolist() == [0.5, 2.0, 3.0]
+    assert solve_spd(np.eye(3), half).tolist() == [0.5, 2.0, 3.0]
+
+
 # --- module invariants -------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ def test_oracle_equivalence_randomized():
         sol = kriging_weights(design, corr, f)
         assert np.max(np.abs(w - sol.weights)) <= 1e-9, f"trial {trial}"
         assert np.max(np.abs(mu - sol.multipliers)) <= 1e-9, f"trial {trial}"
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_kkt_solve_makes_one_bordered_copy(kind):
+    # The bordered matrix is built once, in the solve's dtype, and freed before the residual
+    # check makes its own matrix-sized temporary.  (np.linalg.solve's working copy is not traced.)
+    n = 300
+    design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
+    corr = _random_correlation(np.random.default_rng(8), n)
+    f = np.array([1.0, 0.5], dtype=kind)
+    tracemalloc.start()
+    try:
+        kkt_solve(design, corr, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (n + 2) ** 2 * np.dtype(kind).itemsize
 
 
 def _block_draw(cfg, block):
