@@ -312,7 +312,7 @@ def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray
     once-formed read-only Gram matrix).  A dense Λ has its shape and diagonal
     checked and its Gram matrix formed on every call, and never touches the
     cached one; ``solve_spd`` scans and solves it, and above order 64 returns
-    the kept Λ⁻¹F when the same Λ and F were solved before."""
+    the kept Λ⁻¹F when the same Λ and F were solved on the last two calls."""
     if corr is None:
         return design.F, design._white_gram
     lam = _check_correlation(corr, design.n)

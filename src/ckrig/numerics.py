@@ -13,10 +13,11 @@ plus branch and derives the minus branch as its conjugate.
 - larger k (a dense Λ): LAPACK (``dpotrf``/``dpotrs``), the only path that
   imports scipy, whose blocked factorization the loop cannot approach at large
   k (and numpy has no triangular solve).  Kriging queries one Λ at many points,
-  so this path keeps its solutions, keyed by a SHA-256 digest of the bytes of
-  ``a`` and ``b``: a repeated system is neither scanned, factored nor solved
-  again.  The kept solutions never exceed ``_MEMO_FRACTION`` of the bytes of
-  the matrix just solved, least recently used first out.
+  so this path keeps the last solution, keyed by a SHA-256 digest of the bytes
+  of ``a`` and ``b``: a repeated system is neither scanned, factored nor
+  solved again.  A system is digested and kept only from its second call in a
+  row, so a one-shot solve pays no digest, and a solution larger than
+  ``_MEMO_FRACTION`` of the bytes of ``a`` is never kept.
 
 Both paths read the lower triangle, and both add the relative pivot guard
 that LAPACK lacks.  The package's one rule for a matrix's entries,
@@ -28,8 +29,6 @@ temporary of the matrix's size.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +45,9 @@ _TILE = 128
 # right-hand-side columns) against ~0.02 and ~0.05 ms for LAPACK with scipy loaded, far
 # below the ~360 ms import it avoids; above it LAPACK's speed matters more than the import.
 _SMALL_ORDER = 64
-# The solutions kept above _SMALL_ORDER, each charged its bytes plus _MEMO_ENTRY_BYTES for its
-# key and bookkeeping, never exceed this fraction of the bytes of the matrix just solved, so
-# solve_spd(a, identity) cannot pin an inverse of a's size.
+# Above _SMALL_ORDER a solution is kept only if its bytes are at most this fraction of a's,
+# so solve_spd(a, identity) cannot pin an inverse of a's size.
 _MEMO_FRACTION = 0.25
-_MEMO_ENTRY_BYTES = 256
 
 
 class NotPositiveDefinite(ValueError):
@@ -114,10 +111,11 @@ def solve_spd(a, b) -> np.ndarray:
     k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats with one
     substitution per column of ``b`` (the trend Gram matrices and small Λ), so
     small systems never import scipy; larger k goes to LAPACK, faster there.
-    Above ``_SMALL_ORDER`` a system whose ``a`` and ``b`` have the bytes (and
-    dtype, shape and memory order) of one solved before returns a fresh copy of
-    its kept solution, with no scan, factorization or solve; the digest of
-    those bytes costs ~26 ms at k = 2000, against ~75 ms for the solve.
+    Above ``_SMALL_ORDER``, from the third call in a row with the same bytes
+    (and dtype, shape and memory order) of ``a`` and ``b``, a call returns a
+    fresh copy of the kept solution, with no scan, factorization or solve.
+    The first call pays no digest; the second and later ones pay the digest
+    of those bytes, ~26 ms at k = 2000, against ~75 ms for the solve.
 
     Parameters
     ----------
@@ -158,11 +156,42 @@ def solve_spd(a, b) -> np.ndarray:
 
 
 def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_spd`` above ``_SMALL_ORDER``: LAPACK, behind the content-keyed memo.
+    """``solve_spd`` above ``_SMALL_ORDER``: LAPACK, behind a one-slot memo keyed by content.
 
     Identical bytes get the same verdict from ``check_symmetric`` and the pivot
-    guard, so a hit may skip both.  hashlib, like scipy, is imported only here.
+    guard, so a hit may skip both.  Only a system whose probe (its last rows)
+    matches the last one solved is digested in full: a one-shot solve pays the
+    probe alone, a repeat the digest from its second call on.
     """
+    global _LAST
+    if b.nbytes > _MEMO_FRACTION * a.nbytes:
+        return _factor_and_solve(a, b)
+    probe = _digest(a[-1:], b[-1:])
+    last_probe, last_digest, last_x = _LAST
+    digest = None
+    if probe == last_probe:
+        digest = _digest(a, b)
+        if digest == last_digest:
+            return last_x.copy(order="K")
+    x = _factor_and_solve(a, b)
+    kept = None
+    if digest is not None:
+        kept = x.copy(order="K")
+        kept.flags.writeable = False
+    # One tuple, read and assigned whole, so threads need no lock: a race loses a kept
+    # solution, and never pairs one system's digest with another's solution.
+    _LAST = (probe, digest, kept)
+    return x
+
+
+# (probe, digest, read-only solution) of the last system solved by _lapack_solve; the
+# digest and solution are None until that system's second call in a row.
+_LAST = (None, None, None)
+
+
+def _digest(a: np.ndarray, b: np.ndarray) -> bytes:
+    """SHA-256 of the dtypes, shapes, memory orders and bytes of ``a`` and ``b``.
+    hashlib, like scipy, is imported only above ``_SMALL_ORDER``."""
     import hashlib
 
     digest = hashlib.sha256()
@@ -171,12 +200,10 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         order = "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
         digest.update(f"{x.dtype.str}{x.shape}{order}".encode())
         digest.update(np.ascontiguousarray(x.T if order == "F" else x))
-    key = digest.digest()
-    budget = _MEMO_FRACTION * a.nbytes
-    kept = _MEMO.get(key, budget)
-    if kept is not None:
-        return kept.copy(order="K")
+    return digest.digest()
 
+
+def _factor_and_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     check_symmetric(a)
     from scipy.linalg import cho_solve
     from scipy.linalg.lapack import dpotrf
@@ -190,52 +217,7 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         failed[info - 1 :] = True
     if failed.any():
         raise _not_positive_definite(int(np.argmax(failed)))
-    x = cho_solve((upper, False), b, check_finite=False)
-    _MEMO.put(key, x, budget)
-    return x
-
-
-class _SolutionMemo:
-    """Read-only solutions by key, least recently used first, trimmed to the byte
-    budget that each call passes; its own lock guards every change."""
-
-    def __init__(self):
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def get(self, key: bytes, budget: float):
-        with self._lock:
-            x = self._entries.get(key)
-            if x is not None:
-                self._entries.move_to_end(key)
-            self._trim(budget)
-            return x
-
-    def put(self, key: bytes, x: np.ndarray, budget: float) -> None:
-        """Keep a read-only copy of ``x`` if it fits ``budget`` at all."""
-        if x.nbytes + _MEMO_ENTRY_BYTES > budget:
-            return
-        x = x.copy(order="K")
-        x.flags.writeable = False
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = x
-                self.nbytes += x.nbytes + _MEMO_ENTRY_BYTES
-            self._trim(budget)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-    def _trim(self, budget: float) -> None:
-        while self.nbytes > budget:
-            _, x = self._entries.popitem(last=False)
-            self.nbytes -= x.nbytes + _MEMO_ENTRY_BYTES
-
-
-_MEMO = _SolutionMemo()
+    return cho_solve((upper, False), b, check_finite=False)
 
 
 def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

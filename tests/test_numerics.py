@@ -3,8 +3,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -332,52 +330,72 @@ class TestSolveSpd:
 
 @pytest.mark.parametrize("k", [65, 200])
 class TestSolveMemo:
-    """Above ``_SMALL_ORDER``, ``solve_spd`` keeps its solutions by the bytes of ``a`` and ``b``."""
+    """Above ``_SMALL_ORDER``, ``solve_spd`` keeps the last solution by the bytes of ``a`` and ``b``,
+    from the second call in a row of one system on."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        numerics._MEMO.clear()
+        numerics._LAST = (None, None, None)
         yield
-        numerics._MEMO.clear()
+        numerics._LAST = (None, None, None)
 
     @staticmethod
-    def _spy_scans(monkeypatch):
+    def _spy(monkeypatch, name):
+        """Record the shape of the first argument of each call of ``numerics.<name>``."""
         calls = []
-        original = numerics.check_symmetric
+        original = getattr(numerics, name)
 
-        def spy(a):
+        def spy(a, *rest):
             calls.append(a.shape)
-            original(a)
+            return original(a, *rest)
 
-        monkeypatch.setattr(numerics, "check_symmetric", spy)
+        monkeypatch.setattr(numerics, name, spy)
         return calls
 
     @staticmethod
     def _memo_free(a, b):
-        numerics._MEMO.clear()
+        numerics._LAST = (None, None, None)
         return solve_spd(a, b)
+
+    @staticmethod
+    def _kept(a, b):
+        """Solve ``a``, ``b`` twice, so that its solution is kept."""
+        solve_spd(a, b)
+        return solve_spd(a, b)
+
+    def test_one_shot_solve_is_not_digested(self, k, monkeypatch):
+        a = _random_spd(k)
+        b = np.random.default_rng(k).normal(size=(k, 2))
+        digests = self._spy(monkeypatch, "_digest")
+        solve_spd(a, b)
+        assert digests == [(1, k)]  # the probe: a's last row, with b's
+        solve_spd(a, b)
+        assert digests == [(1, k), (1, k), (k, k)]
 
     def test_equal_copy_is_not_scanned_again(self, k, monkeypatch):
         a = _random_spd(k)
         b = np.random.default_rng(k).normal(size=(k, 2))
         first = solve_spd(a, b)
-        calls = self._spy_scans(monkeypatch)
+        scans = self._spy(monkeypatch, "check_symmetric")
+        second = solve_spd(a.copy(), b.copy())
+        assert scans == [(k, k)]
         again = solve_spd(a.copy(), b.copy())
-        assert calls == []
-        assert again.tobytes() == first.tobytes() and again.shape == first.shape
+        assert scans == [(k, k)]
+        assert again.tobytes() == second.tobytes() == first.tobytes() and again.shape == first.shape
 
     @pytest.mark.parametrize("edited", ["a", "b"])
     def test_in_place_edit_is_solved_afresh(self, k, edited, monkeypatch):
+        # The edit leaves the last rows, the probe, as they were: only the digest can see it.
         a = _random_spd(k)
         b = np.random.default_rng(k).normal(size=k)
-        first = solve_spd(a, b)
+        first = self._kept(a, b)
         if edited == "a":
             a[0, 0] += 1.0
         else:
             b[0] += 1.0
-        calls = self._spy_scans(monkeypatch)
+        scans = self._spy(monkeypatch, "check_symmetric")
         x = solve_spd(a, b)
-        assert calls == [(k, k)]
+        assert scans == [(k, k)]
         assert not np.array_equal(x, first)
         assert x.tobytes() == self._memo_free(a, b).tobytes()
 
@@ -386,7 +404,7 @@ class TestSolveMemo:
         b = np.random.default_rng(k).normal(size=(k, 3))
         x = solve_spd(a, b)
         want = x.copy()
-        for _ in range(2):
+        for _ in range(3):
             assert x.flags.writeable
             x[:] = 0.0
             x = solve_spd(a, b)
@@ -398,92 +416,52 @@ class TestSolveMemo:
         singular[k - 1, :] = singular[k - 2, :]
         singular[:, k - 1] = singular[:, k - 2]
         asymmetric = _with_entry(_random_spd(k), (0, k - 1), 1e3)
-        for _ in range(3):
-            with pytest.raises(NotPositiveDefinite, match=f"index {k - 1} "):
-                solve_spd(singular, b)
-            with pytest.raises(ValueError, match="symmetric"):
-                solve_spd(asymmetric, b)
-        assert numerics._MEMO.nbytes == 0
+        for bad, error, match in [
+            (singular, NotPositiveDefinite, f"index {k - 1} "),
+            (asymmetric, ValueError, "symmetric"),
+        ]:
+            for _ in range(3):
+                with pytest.raises(error, match=match):
+                    solve_spd(bad, b)
+        assert numerics._LAST == (None, None, None)
 
     def test_real_and_complex_right_hand_sides_kept_apart(self, k):
         a = _random_spd(k)
         b = np.random.default_rng(k).normal(size=k)
-        first = solve_spd(a, b), solve_spd(a, b.astype(complex))
-        again = solve_spd(a, b), solve_spd(a, b.astype(complex))
-        for x, z in (first, again):
-            assert x.dtype == np.float64 and z.dtype == np.complex128
+        x = self._kept(a, b)
+        z = solve_spd(a, b.astype(complex))
+        assert x.dtype == np.float64 and z.dtype == np.complex128
         # LAPACK's complex solve rounds differently, so each kind keeps its own bits.
-        assert [x.tobytes() for x in again] == [x.tobytes() for x in first]
-        assert_allclose(first[1], first[0], rtol=1e-12, atol=0)
+        assert z.tobytes() == self._memo_free(a, b.astype(complex)).tobytes()
+        assert self._kept(a, b.astype(complex)).tobytes() == z.tobytes()
+        assert solve_spd(a, b).tobytes() == x.tobytes()
+        assert_allclose(z, x, rtol=1e-12, atol=0)
 
     def test_memory_order_is_part_of_the_key(self, k):
-        # The bytes of an F-ordered b are those of a different C-ordered matrix.
-        a = _random_spd(k)
+        # The bytes of an F-ordered b are those of a different C-ordered matrix; with the
+        # last rows made equal, only the order tag tells the two apart.
         b = np.asfortranarray(np.random.default_rng(k).normal(size=(k, 3)))
+        b[k - 3 : k - 1, 2] = b[k - 1, :2]
         same_bytes = np.frombuffer(b.tobytes(order="A")).reshape(k, 3)
         assert not np.array_equal(b, same_bytes)
-        solve_spd(a, b)
+        assert np.array_equal(b[-1], same_bytes[-1])
+        a = _random_spd(k)
+        self._kept(a, b)
         assert solve_spd(a, same_bytes).tobytes() == self._memo_free(a, same_bytes).tobytes()
 
-    def test_byte_bound(self, k, monkeypatch):
+    def test_inverse_is_never_kept(self, k, monkeypatch):
         a = _random_spd(k)
-        budget = numerics._MEMO_FRACTION * a.nbytes
-        columns = np.random.default_rng(k).normal(size=(400, k))
-        calls = self._spy_scans(monkeypatch)
-
-        def scans(b):
-            del calls[:]
-            solve_spd(a, b)
-            return len(calls)
-
-        # An inverse of a's size is never kept, and evicts nothing: the next identical
-        # call is scanned again, and a solution kept before stays.
-        assert scans(columns[0]) == 1
-        assert [scans(np.eye(k)), scans(np.eye(k)), scans(columns[0])] == [1, 1, 0]
-        # Many right-hand sides: within the bound, the least recently used goes first.
-        for b in columns[1:]:
-            scans(b)
-            assert numerics._MEMO.nbytes <= budget
-        kept = len(numerics._MEMO._entries)
-        assert 1 < kept < len(columns)
-        oldest, next_oldest = columns[-kept], columns[-kept + 1]
-        assert [scans(oldest), scans(np.ones(k)), scans(oldest), scans(next_oldest)] == [0, 1, 0, 1]
-
-
-def test_memo_bookkeeping_shared_by_threads():
-    # More threads than cores, switching as often as possible: a lost update of the byte
-    # count, or one entry counted twice, breaks the bookkeeping.
-    memo = numerics._SolutionMemo()
-    values = [np.full(8, float(i)) for i in range(32)]
-    budget = 6 * (values[0].nbytes + numerics._MEMO_ENTRY_BYTES)
-    errors = []
-
-    def churn(t):
-        try:
-            for i in range(3000):
-                key = (t * 5 + i) % len(values)
-                kept = memo.get(bytes([key]), budget)
-                if kept is None:
-                    memo.put(bytes([key]), values[key], budget)
-                elif kept[0] != key:
-                    raise AssertionError(f"entry {key} holds {kept[0]}")
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=churn, args=(t,)) for t in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert memo.nbytes == sum(x.nbytes + numerics._MEMO_ENTRY_BYTES for x in memo._entries.values())
-    assert memo.nbytes <= budget
+        b = np.random.default_rng(k).normal(size=k)
+        self._kept(a, b)
+        kept = numerics._LAST
+        digests = self._spy(monkeypatch, "_digest")
+        scans = self._spy(monkeypatch, "check_symmetric")
+        # Too large to keep: neither digested nor kept, and the kept solution stays.
+        for _ in range(3):
+            assert_allclose(a @ solve_spd(a, np.eye(k)), np.eye(k), atol=1e-9)
+        assert digests == [] and len(scans) == 3
+        assert numerics._LAST is kept
+        assert kept[2].nbytes <= numerics._MEMO_FRACTION * a.nbytes
 
 
 def _order_one_and_two_cases():
