@@ -12,18 +12,14 @@ plus branch and derives the minus branch as its conjugate.
   golden CLI output pins its bits at k <= 2;
 - larger k (a dense Λ): LAPACK (``dpotrf``/``dpotrs``), the only path that
   imports scipy, whose blocked factorization the loop cannot approach at large
-  k (and numpy has no triangular solve).  Kriging queries one Λ at many points,
-  so this path keeps the last solution, keyed by a SHA-256 digest of the bytes
-  of ``a`` and ``b``: a repeated system is neither scanned, factored nor
-  solved again.  A system is digested and kept only from its second call in a
-  row, so a one-shot solve pays no digest, and a solution larger than
-  ``_MEMO_FRACTION`` of the bytes of ``a`` is never kept.
+  k (and numpy has no triangular solve).
 
-Both paths read the lower triangle, and both add the relative pivot guard
-that LAPACK lacks.  The package's one rule for a matrix's entries,
-``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``), lives here
-too; it scans matrices of order > 2 in square tiles, so it makes no
-temporary of the matrix's size.
+``solve_spd`` keeps nothing between calls (``kriging`` keeps the Λ⁻¹F that
+its queries repeat).  Both paths read the lower triangle, and both add the
+relative pivot guard that LAPACK lacks.  The package's one rule for a matrix's
+entries, ``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``),
+lives here too; it scans matrices of order > 2 in square tiles, so it makes
+no temporary of the matrix's size.
 """
 
 from __future__ import annotations
@@ -45,9 +41,6 @@ _TILE = 128
 # right-hand-side columns) against ~0.02 and ~0.05 ms for LAPACK with scipy loaded, far
 # below the ~360 ms import it avoids; above it LAPACK's speed matters more than the import.
 _SMALL_ORDER = 64
-# Above _SMALL_ORDER a solution is kept only if its bytes are at most this fraction of a's,
-# so solve_spd(a, identity) cannot pin an inverse of a's size.
-_MEMO_FRACTION = 0.25
 
 
 class NotPositiveDefinite(ValueError):
@@ -111,11 +104,6 @@ def solve_spd(a, b) -> np.ndarray:
     k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats with one
     substitution per column of ``b`` (the trend Gram matrices and small Λ), so
     small systems never import scipy; larger k goes to LAPACK, faster there.
-    Above ``_SMALL_ORDER``, from the third call in a row with the same bytes
-    (and dtype, shape and memory order) of ``a`` and ``b``, a call returns a
-    fresh copy of the kept solution, with no scan, factorization or solve.
-    The first call pays no digest; the second and later ones pay the digest
-    of those bytes, ~26 ms at k = 2000, against ~75 ms for the solve.
 
     Parameters
     ----------
@@ -127,7 +115,7 @@ def solve_spd(a, b) -> np.ndarray:
 
     Returns
     -------
-    x with the shape and (promoted) dtype of ``b``, owned by the caller.
+    x with the shape and (promoted) dtype of ``b``.
 
     Raises
     ------
@@ -136,7 +124,7 @@ def solve_spd(a, b) -> np.ndarray:
         of the factor) is not above ``PIVOT_RTOL`` times its own diagonal
         entry of ``a``.  Unlike a bare library factorization this flags
         *near*-degenerate systems, the signal for a rank-deficient trend
-        design.  A failing system is never kept, so it raises on every call.
+        design.
     ValueError
         For non-square, complex, non-finite or materially asymmetric input,
         text in ``a`` or ``b``, or a ``b`` of any other shape.
@@ -149,62 +137,14 @@ def solve_spd(a, b) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != k:
         raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
     b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
-    if k > _SMALL_ORDER:
-        return _lapack_solve(a, b)
     check_symmetric(a)
+    if k > _SMALL_ORDER:
+        return _factor_and_solve(a, b)
     return _small_cholesky_solve(a, b)
 
 
-def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_spd`` above ``_SMALL_ORDER``: LAPACK, behind a one-slot memo keyed by content.
-
-    Identical bytes get the same verdict from ``check_symmetric`` and the pivot
-    guard, so a hit may skip both.  Only a system whose probe (its last rows)
-    matches the last one solved is digested in full: a one-shot solve pays the
-    probe alone, a repeat the digest from its second call on.
-    """
-    global _LAST
-    if b.nbytes > _MEMO_FRACTION * a.nbytes:
-        return _factor_and_solve(a, b)
-    probe = _digest(a[-1:], b[-1:])
-    last_probe, last_digest, last_x = _LAST
-    digest = None
-    if probe == last_probe:
-        digest = _digest(a, b)
-        if digest == last_digest:
-            return last_x.copy(order="K")
-    x = _factor_and_solve(a, b)
-    kept = None
-    if digest is not None:
-        kept = x.copy(order="K")
-        kept.flags.writeable = False
-    # One tuple, read and assigned whole, so threads need no lock: a race loses a kept
-    # solution, and never pairs one system's digest with another's solution.
-    _LAST = (probe, digest, kept)
-    return x
-
-
-# (probe, digest, read-only solution) of the last system solved by _lapack_solve; the
-# digest and solution are None until that system's second call in a row.
-_LAST = (None, None, None)
-
-
-def _digest(a: np.ndarray, b: np.ndarray) -> bytes:
-    """SHA-256 of the dtypes, shapes, memory orders and bytes of ``a`` and ``b``.
-    hashlib, like scipy, is imported only above ``_SMALL_ORDER``."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for x in (a, b):
-        # An F-ordered array is hashed as its C-ordered transpose, and tagged so.
-        order = "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
-        digest.update(f"{x.dtype.str}{x.shape}{order}".encode())
-        digest.update(np.ascontiguousarray(x.T if order == "F" else x))
-    return digest.digest()
-
-
 def _factor_and_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    check_symmetric(a)
+    """``solve_spd`` above ``_SMALL_ORDER``: LAPACK's blocked Cholesky, behind the same pivot guard."""
     from scipy.linalg import cho_solve
     from scipy.linalg.lapack import dpotrf
 

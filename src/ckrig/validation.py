@@ -106,8 +106,11 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     F = design.F
     n, k = F.shape
     f = _feature_values(feature, k)
-    lam = np.eye(n) if corr is None else _check_correlation(corr, n)
-    check_symmetric(lam)
+    if corr is None:
+        lam = np.eye(n)
+    else:
+        lam = _check_correlation(corr, n)
+        check_symmetric(lam)
 
     # Built in the solve's dtype (a cast would copy it), and freed before the residuals are formed.
     dtype = np.result_type(f.dtype, float)
@@ -125,7 +128,8 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     del bordered
 
     weights, multipliers = solution[:n], solution[n:]
-    scale = max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(lam))))
+    # max|Λ| for a finite Λ, with no n×n temporary.
+    scale = max(1.0, float(np.max(np.abs(f))), float(lam.max()), -float(lam.min()))
     stationarity = np.max(np.abs(lam @ weights + F @ multipliers))
     unbiasedness = np.max(np.abs(F.T @ weights - f))
     if max(stationarity, unbiasedness) > KKT_RESIDUAL_TOL * scale:

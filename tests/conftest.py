@@ -14,6 +14,17 @@ import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
 
+
+@pytest.fixture(autouse=True)
+def empty_whitening_slot():
+    """Start each test with no kept Λ⁻¹F, so that no test's scans and solves depend on the tests before it."""
+    from ckrig import kriging
+
+    kriging._LAST_WHITENING = (None, None, None)
+    yield
+    kriging._LAST_WHITENING = (None, None, None)
+
+
 EXAMPLE_X = (1.7, 2.1, 3.9, 7.2, 8.6, 8.5, 7.3, 5.1, 2.8, 1.8, 1.6)
 EXAMPLE_Y = (3.2, 3.9, 4.9, 5.3, 5.5, 6.2, 6.5, 6.9, 7.5, 8.3, 9.4)
 

@@ -718,6 +718,43 @@ def test_scipy_imported_only_for_order_n_solves(example_csv_path, tmp_path):
     }
 
 
+def _run_fresh(*argv):
+    """Run ``python *argv`` in a fresh interpreter with this tree's ``src`` on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
+def test_exit_codes_at_the_process_boundary(example_csv_path, tmp_path):
+    # ``python -m ckrig.cli`` turns main's return value into the process's exit status.
+    proc = _run_fresh("-m", "ckrig.cli", "complex-mean", str(example_csv_path), "--json")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == (DATA_DIR / "complex_mean_golden.json").read_bytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,v\n1.0,abc\n2.0,2.0\n")
+    assert _run_fresh("-m", "ckrig.cli", "complex-mean", str(bad), "--json").returncode == EXIT_INPUT
+    equal = tmp_path / "equal.csv"
+    equal.write_text("x,v\n2.0,1.0\n2.0,2.0\n2.0,3.0\n")
+    assert _run_fresh("-m", "ckrig.cli", "complex-mean", str(equal), "--json").returncode == EXIT_DEGENERATE
+
+
+_ONE_SHOT_PROBE = """
+import contextlib, io, json, sys
+from ckrig.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["fit", sys.argv[1], "--at", "4.6", "--lambda", sys.argv[2]])
+print(json.dumps([code, "scipy" in sys.modules, "hashlib" in sys.modules]))
+"""
+
+
+def test_one_shot_dense_fit_loads_neither_scipy_nor_hashlib(example_csv_path, tmp_path):
+    # One whitening per process: the kept-Λ⁻¹F slot takes its probe but never digests.
+    lam_file = _identity_lambda_file(tmp_path / "lam.txt", 11)
+    proc = _run_fresh("-c", _ONE_SHOT_PROBE, str(example_csv_path), str(lam_file))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [EXIT_OK, False, False]
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

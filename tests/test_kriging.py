@@ -493,6 +493,134 @@ def test_dense_query_never_forms_white_gram(call, monkeypatch):
     assert "_white_gram" not in vars(d)
 
 
+@pytest.mark.parametrize("n", [11, 200])
+class TestWhitenedDesignSlot:
+    """``_whitened_design`` keeps the last Λ⁻¹F by the bytes of Λ and F, from the second call in a
+    row of one Λ and F on, at every order.  Each query builds a fresh design, as a dense fit does:
+    ``gls_beta``, then ``kriging_weights`` at a point."""
+
+    @staticmethod
+    def _case(n):
+        rng = np.random.default_rng(n)
+        x = np.linspace(-4.0, 4.0, n) + rng.uniform(-0.01, 0.01, n)
+        lam = _random_correlation(rng, n)
+        # Exactly symmetric, so that Λ's last row is its last column.
+        return x, np.tril(lam) + np.tril(lam, -1).T
+
+    @staticmethod
+    def _query(x, lam, call):
+        """Call 0 is ``gls_beta``, call c > 0 ``kriging_weights`` at point c; its result as one array."""
+        design = build_design(TrendBasis.linear(), x)
+        y = np.sin(x)
+        if call == 0:
+            return gls_beta(design, lam, y)
+        return kriging_weights(design, lam, feature_vector(TrendBasis.linear(), float(call))).weights
+
+    def _slot_free(self, x, lam, call=1):
+        kriging._LAST_WHITENING = (None, None, None)
+        return self._query(x, lam, call)
+
+    def _kept(self, x, lam):
+        """Query ``x``, ``lam`` twice, so that its Λ⁻¹F is kept; the second result."""
+        self._query(x, lam, 0)
+        return self._query(x, lam, 1)
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, n=None):
+        """Record the shape of the first argument of each call of ``module.<name>``, of order n if given."""
+        calls = []
+        original = getattr(module, name)
+
+        def spy(a, *rest):
+            if n is None or a.shape == (n, n):
+                calls.append(a.shape)
+            return original(a, *rest)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_one_shot_whitening_is_not_digested(self, n, monkeypatch):
+        x, lam = self._case(n)
+        digests = self._spy(monkeypatch, kriging, "_digest")
+        self._query(x, lam, 0)
+        assert digests == []
+        self._query(x, lam, 1)
+        assert digests == [(n, n)]
+
+    def test_equal_copy_is_not_scanned_again(self, n, monkeypatch):
+        x, lam = self._case(n)
+        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+        first = self._query(x, lam, 1)
+        second = self._query(x.copy(), lam.copy(), 1)
+        assert scans == solves == [(n, n)] * 2
+        for _ in range(3):
+            again = self._query(x.copy(), lam.copy(), 1)
+            assert scans == solves == [(n, n)] * 2
+            assert _same_bits(again, second) and _same_bits(again, first)
+
+    def test_in_place_edit_of_lambda_is_solved_afresh(self, n, monkeypatch):
+        # The edit leaves Λ's last row, part of the probe, as it was: only the digest can see it.
+        x, lam = self._case(n)
+        first = self._kept(x, lam)
+        lam[0, 1] = lam[1, 0] = 0.5 * lam[0, 1]
+        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        edited = self._query(x, lam, 1)
+        assert scans == [(n, n)]
+        assert not np.array_equal(edited, first)
+        assert _same_bits(edited, self._slot_free(x, lam))
+
+    def test_covariates_changed_away_from_last_row_are_solved_afresh(self, n):
+        x, lam = self._case(n)
+        first = self._kept(x, lam)
+        moved = x.copy()
+        moved[0] -= 0.5
+        fresh = self._query(moved, lam, 1)
+        assert not np.array_equal(fresh, first)
+        assert _same_bits(fresh, self._slot_free(moved, lam))
+
+    def test_results_belong_to_the_caller(self, n):
+        x, lam = self._case(n)
+        want = self._query(x, lam, 1).copy()
+        for _ in range(3):
+            got = self._query(x, lam, 1)
+            assert got.flags.writeable and np.array_equal(got, want)
+            got[:] = 0.0
+        assert not kriging._LAST_WHITENING[2].flags.writeable
+
+    def test_failures_raise_on_every_repeat(self, n):
+        x, lam = self._case(n)
+        singular = lam.copy()
+        singular[n - 1, :] = singular[n - 2, :]
+        singular[:, n - 1] = singular[:, n - 2]
+        singular[n - 1, n - 1] = 1.0
+        asymmetric = lam.copy()
+        asymmetric[0, n - 1] += 1e-3
+        for bad, error, match in [
+            (singular, numerics.NotPositiveDefinite, f"index {n - 1} "),
+            (asymmetric, ValueError, "symmetric"),
+        ]:
+            for call in range(3):
+                with pytest.raises(error, match=match):
+                    self._query(x, bad, call)
+        assert kriging._LAST_WHITENING == (None, None, None)
+
+    def test_memory_order_is_part_of_the_key(self, n):
+        # The bytes of an F-ordered Λ are those of its C-ordered transpose.  An asymmetry within
+        # tolerance, away from the last row and column, makes the two differ in the lower triangle,
+        # which the factorization reads; their last rows are equal, so only the order tag tells them apart.
+        x, lam = self._case(n)
+        lam_f = np.asfortranarray(lam)
+        lam_f[0, 1] += 1e-13
+        same_bytes = np.frombuffer(lam_f.tobytes(order="A")).reshape(n, n)
+        assert not np.array_equal(lam_f, same_bytes)
+        assert np.array_equal(lam_f[-1], same_bytes[-1])
+        kept = self._kept(x, lam_f)
+        got = self._query(x, same_bytes, 1)
+        assert not np.array_equal(got, kept)
+        assert _same_bits(got, self._slot_free(x, same_bytes))
+
+
 def test_gram_warning_on_every_white_query():
     # Shifted covariates: the equilibrated Gram condition is ~1e12.
     d = build_design(TrendBasis.linear(), np.array(EXAMPLE_X) + 1e6)

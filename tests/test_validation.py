@@ -20,6 +20,7 @@ from ckrig import (
     simulate_process,
     zero_variance_points,
 )
+from ckrig import validation
 from ckrig.validation import BLOCK
 from conftest import EXAMPLE_X, _basis_for, _random_correlation
 
@@ -56,6 +57,16 @@ class TestKktSolve:
         d = build_design(TrendBasis.linear(), [1.0, 2.0])
         with pytest.raises(ValueError):
             kkt_solve(d, None, [1.0])
+
+    def test_only_a_given_correlation_is_scanned(self, monkeypatch):
+        scans = []
+        original = validation.check_symmetric
+        monkeypatch.setattr(validation, "check_symmetric", lambda a: scans.append(a.shape) or original(a))
+        d = build_design(TrendBasis.linear(), EXAMPLE_X)
+        kkt_solve(d, None, [1.0, 4.6])
+        assert scans == []
+        kkt_solve(d, _random_correlation(np.random.default_rng(3), d.n), [1.0, 4.6])
+        assert scans == [(d.n, d.n)]
 
 
 def test_oracle_equivalence_randomized():
