@@ -343,6 +343,30 @@ def test_solve_keeps_nothing(monkeypatch):
         assert again is not first and np.array_equal(again, first)
 
 
+@pytest.mark.parametrize("k", [65, 200])
+class TestSolveMemo:
+    """No memo is left in ``solve_spd``: a system edited in place between calls is solved afresh."""
+
+    @pytest.mark.parametrize("edited", ["a", "b"])
+    def test_in_place_edit_is_solved_afresh(self, k, edited, monkeypatch):
+        # The edit leaves the last rows as they were, so a probe of them alone could not see it.
+        a = _random_spd(k)
+        b = np.random.default_rng(k).normal(size=k)
+        solve_spd(a, b)
+        first = solve_spd(a, b)
+        if edited == "a":
+            a[0, 0] += 1.0
+        else:
+            b[0] += 1.0
+        scans = []
+        original = numerics.check_symmetric
+        monkeypatch.setattr(numerics, "check_symmetric", lambda m: scans.append(m.shape) or original(m))
+        x = solve_spd(a, b)
+        assert scans == [(k, k)]
+        assert not np.array_equal(x, first)
+        assert x.tobytes() == solve_spd(a.copy(), b.copy()).tobytes()
+
+
 def _order_one_and_two_cases():
     """Seeded SPD systems of order 1 and 2, built entry by entry in Python floats.
 
