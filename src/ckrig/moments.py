@@ -149,11 +149,12 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     basis = TrendBasis.linear()
     design = build_design(basis, sample.covariates)
     solution = kriging_weights(design, None, feature_vector(basis, mom.zero_variance_points.plus))
-    wsq_plus = complex(np.dot(solution.weights, sample.observations**2))
+    v = sample.observations
+    v2 = v * v
     return ComplexMoments(
         mean=mean,
-        weighted_square=ConjugatePair(wsq_plus),
-        real_se=real_standard_error(sample),
+        weighted_square=ConjugatePair(complex(np.dot(solution.weights, v2))),
+        real_se=_standard_error(v, v2),
         moments=mom,
         slope=a_hat,
     )
@@ -162,8 +163,13 @@ def complex_variance(sample: Sample) -> ComplexMoments:
 def real_standard_error(sample: Sample) -> float:
     """Standard error of the mean, sqrt((mean(v²) - v̄²)/n), 1/n convention."""
     v = sample.observations
+    return _standard_error(v, v * v)
+
+
+def _standard_error(v: np.ndarray, v2: np.ndarray) -> float:
+    """``real_standard_error`` of observations ``v`` given their squares ``v2``."""
     vbar = float(np.mean(v))
-    v2bar = float(np.mean(v * v))
+    v2bar = float(np.mean(v2))
     return math.sqrt(max(v2bar - vbar * vbar, 0.0) / v.size)
 
 

@@ -11,6 +11,11 @@ matrix row-major from ``Generator(Philox(key=seed).jumped(b))``, and
 replicate r is the trend plus row ``r % BLOCK`` of block ``r // BLOCK``.  A
 replicate depends on (seed, r, BLOCK) only, never on the replicate count;
 ``BLOCK`` is part of the contract.
+
+The driver keeps no complex array the size of the run: the errors are an
+(R, 2) real array of their real and imaginary parts, each block's rows are
+one real BLAS product ``noise @ [Re w, Im w]``, and the second moments
+come from dot products of the two columns.
 """
 
 from __future__ import annotations
@@ -130,7 +135,11 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     weights, multipliers = solution[:n], solution[n:]
     # max|Λ| for a finite Λ, with no n×n temporary.
     scale = max(1.0, float(np.max(np.abs(f))), float(lam.max()), -float(lam.min()))
-    stationarity = np.max(np.abs(lam @ weights + F @ multipliers))
+    # Λ is real: Λω is formed from Re ω and Im ω, as a complex ω would cast Λ to complex.
+    lam_weights = lam @ weights.real
+    if np.iscomplexobj(weights):
+        lam_weights = lam_weights + 1j * (lam @ weights.imag)
+    stationarity = np.max(np.abs(lam_weights + F @ multipliers))
     unbiasedness = np.max(np.abs(F.T @ weights - f))
     if max(stationarity, unbiasedness) > KKT_RESIDUAL_TOL * scale:
         raise SingularSystem(
@@ -145,7 +154,9 @@ def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(block))
     shape = (rows, config.n)
     if config.noise_kind == "gaussian":
-        return config.sigma * rng.standard_normal(shape)
+        noise = rng.standard_normal(shape)
+        noise *= config.sigma  # in place: the same bits as sigma * noise
+        return noise
     # Uniform on [-a, a] with a = sigma*sqrt(3) has variance sigma^2.
     half_width = config.sigma * np.sqrt(3.0)
     return rng.uniform(-half_width, half_width, shape)
@@ -163,9 +174,11 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     """Empirical error moments of the predictor at ``evaluation_point``.
 
     The errors of a block are ``noise @ w + (w·trend - truth)``; the second
-    term is zero up to roundoff because w'F = f.  They equal ``predict`` on
-    ``simulate_process`` replicates up to summation order, and the reduction
-    runs in replicate order.
+    term is zero up to roundoff because w'F = f.  They are kept as two real
+    columns, Re and Im, filled by one real product ``noise @ [Re w, Im w]``
+    per block, and the second moments are dot products of the columns.
+    They equal ``predict`` on ``simulate_process`` replicates up to
+    summation order.
     """
     design = build_design(config.basis, np.asarray(config.covariates))
     f = feature_vector(config.basis, evaluation_point)
@@ -173,22 +186,29 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     weights = kriging_weights(design, None, f).weights
     offset = complex(weights @ (design.F @ beta) - f @ beta)
 
-    errors = np.empty(config.replicates, dtype=complex)
-    for start in range(0, config.replicates, BLOCK):
-        rows = min(BLOCK, config.replicates - start)
-        errors[start : start + rows] = _block_noise(config, start // BLOCK, rows) @ weights + offset
+    replicates = config.replicates
+    w = np.column_stack([weights.real, weights.imag])
+    errors = np.empty((replicates, 2))
+    for start in range(0, replicates, BLOCK):
+        rows = errors[start : start + BLOCK]
+        np.dot(_block_noise(config, start // BLOCK, len(rows)), w, out=rows)
+        rows += (offset.real, offset.imag)
 
-    re, im = errors.real, errors.imag
-    mean_re, mean_im = float(np.mean(re)), float(np.mean(im))
-    re_c, im_c = re - mean_re, im - mean_im
+    # Column by column: np.mean sums a column pairwise, where axis=0 would add row by row.
+    mean_re, mean_im = (float(np.mean(column)) for column in errors.T)
+    # The 2×2 Gram matrices [[re·re, re·im], [re·im, im·im]] of the columns, then of the
+    # columns centred in place.
+    square = errors.T @ errors / replicates
+    errors -= (mean_re, mean_im)
+    centred = errors.T @ errors / replicates
     return MonteCarloReport(
         mean_error_re=mean_re,
         mean_error_im=mean_im,
-        var_re=float(np.mean(re_c * re_c)),
-        var_im=float(np.mean(im_c * im_c)),
-        cov_re_im=float(np.mean(re_c * im_c)),
-        bilinear_mse=complex(np.mean(errors * errors)),
-        replicates_used=config.replicates,
+        var_re=float(centred[0, 0]),
+        var_im=float(centred[1, 1]),
+        cov_re_im=float(centred[0, 1]),
+        bilinear_mse=complex(square[0, 0] - square[1, 1], 2.0 * square[0, 1]),
+        replicates_used=replicates,
     )
 
 

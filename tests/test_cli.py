@@ -637,9 +637,16 @@ class TestSimulateCommand:
         assert out == "" and "seed must be" in err
 
     def test_unallocatable_replicates_exits_2(self, capsys):
-        # 10^17 complex errors take 1.39 EiB, beyond any 64-bit address space, so the
-        # allocation fails at once on every host.
+        # 10^17 errors, two float64 columns each, take 1.39 EiB, beyond any 64-bit address
+        # space, so the allocation fails at once on every host.
         code, out, err = run_cli(capsys, "simulate", "--replicates", str(10**17))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("replicates", [10**19, 10**400], ids=["above-int64", "400-digits"])
+    def test_replicates_beyond_any_array_shape_exits_2(self, capsys, replicates):
+        code, out, err = run_cli(capsys, "simulate", "--replicates", str(replicates))
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -344,6 +344,22 @@ def test_record_matches_standalone_statistics_bitwise(s):
     assert _bits(stats.variance.plus) == _bits(expected)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e3], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("n", [11, 200, 10**5])
+def test_shared_squares_keep_their_bits(n, shift):
+    # complex_variance squares the observations once for the weighted square and the
+    # standard error: the bits of v**2 and of v * v are kept.
+    x = np.arange(1.0, n + 1.0) + shift
+    v = np.random.default_rng(n).normal(5.0, 2.0, n)
+    stats = complex_variance(Sample(covariates=x, observations=v))
+    basis = TrendBasis.linear()
+    f = feature_vector(basis, zero_variance_points(x).plus)
+    weights = kriging_weights(build_design(basis, x), None, f).weights
+    assert _bits(stats.weighted_square.plus) == _bits(np.dot(weights, v**2))
+    vbar, v2bar = float(np.mean(v)), float(np.mean(v * v))
+    assert _bits(stats.real_se) == _bits(math.sqrt(max(v2bar - vbar * vbar, 0.0) / n))
+
+
 @settings(max_examples=50, deadline=None)
 @given(s=samples())
 def test_conjugate_pairing_exact(s):
