@@ -9,7 +9,11 @@ least-squares trend coefficients, and the trend variance all come out of one
 small SPD system built from the design matrix.  Under white noise that
 system's matrix F'F depends on the design alone, so a ``DesignMatrix`` forms
 it once and every query of the design reuses it; the solve and its checks
-still run on every call.
+still run on every call.  Under a dense correlation matrix Λ the last Λ⁻¹F
+is kept next to private copies of Λ and F, so a caller that repeats one Λ
+and F at many points has Λ scanned and solved on its first two calls only;
+a repeat is confirmed by comparing every entry's bits with the copies, and
+the copies hold n²·8 bytes of memory while the repeats last.
 
 Evaluation points may be complex.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
@@ -301,6 +305,15 @@ def _check_correlation(corr, n: int) -> np.ndarray:
     return lam
 
 
+def _real_matrix_times(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Λω for a real Λ, formed from Re ω and Im ω: Λ @ ω with a complex ω would cast Λ to an
+    n×n complex temporary."""
+    product = lam @ w.real
+    if np.iscomplexobj(w):
+        product = product + 1j * (lam @ w.imag)
+    return product
+
+
 def _gram(F: np.ndarray, lam_inv_F: np.ndarray) -> np.ndarray:
     gram = F.T @ lam_inv_F
     # Symmetrize: the solve leaves roundoff-level asymmetry behind.
@@ -314,47 +327,63 @@ def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray
     cached one.
 
     Kriging queries one Λ at many points, so the last Λ⁻¹F is kept, read-only,
-    under a SHA-256 digest of Λ and F: from the third call in a row with the same
-    bytes (and shapes and memory orders), Λ is neither scanned nor solved again;
-    identical bytes get the same verdict from ``solve_spd``.  Only a call whose
-    probe, the built-in hash of the last rows, equals the last call's is
-    digested, so a one-shot whitening pays no digest and never imports hashlib.
-    A failing Λ raises before anything is kept."""
+    next to private read-only copies of Λ and F: from the third call in a row
+    with the same entries, Λ is neither scanned nor solved again.  A repeat is
+    confirmed by comparing the bits of every entry (0.0 and -0.0 differ), in
+    blocks of rows, with no temporary of Λ's size; equal entries in either
+    memory order share the kept Λ⁻¹F, as ``solve_spd`` gives them the same
+    bits.  Only a call whose probe, the built-in hash of the last rows, equals
+    the last call's is compared or kept, so a one-shot whitening keeps nothing.
+    The copies cost n²·8 bytes (32 MB at n = 2000) while one Λ is repeated;
+    a call with another Λ releases them before it solves.  A failing Λ raises
+    before anything is kept."""
     global _LAST_WHITENING
     if corr is None:
         return design.F, design._white_gram
     lam = _check_correlation(corr, design.n)
     F = design.F
     probe = hash((lam.shape, F.shape, lam[-1].tobytes(), F[-1].tobytes()))
-    last_probe, last_digest, lam_inv_F = _LAST_WHITENING
-    digest = _digest(lam, F) if probe == last_probe else None
-    if digest is None or digest != last_digest:
-        lam_inv_F = solve_spd(lam, F)
-        # Kept without a copy: callers receive only new arrays made from it.
-        lam_inv_F.flags.writeable = False
-        # One tuple, assigned whole, so threads need no lock: a race loses a kept
-        # Λ⁻¹F, and never pairs one system's digest with another's solution.  A one-shot
-        # Λ⁻¹F is not held: holding it raised the fit-dense benchmark's peak RSS by ~3.7 MB.
-        _LAST_WHITENING = (probe, digest, None if digest is None else lam_inv_F)
+    last_probe, kept, lam_inv_F = _LAST_WHITENING
+    if probe == last_probe and kept is not None and _same_bits(kept[0], lam) and _same_bits(kept[1], F):
+        return lam_inv_F, _gram(F, lam_inv_F)
+    # Released before the solve, so that the old copies and LAPACK's factor are never held at once.
+    kept = lam_inv_F = None
+    _LAST_WHITENING = (None, None, None)
+    lam_inv_F = solve_spd(lam, F)
+    # Kept without a copy: callers receive only new arrays made from it.
+    lam_inv_F.flags.writeable = False
+    if probe == last_probe:
+        # One tuple, assigned whole, so threads need no lock: a race loses a kept Λ⁻¹F, and
+        # never pairs one system's copies with another's solution.  A one-shot Λ⁻¹F is not
+        # held: holding it raised the fit-dense benchmark's peak RSS by ~3.7 MB.
+        _LAST_WHITENING = (probe, (_frozen_copy(lam), _frozen_copy(F)), lam_inv_F)
+    else:
+        _LAST_WHITENING = (probe, None, None)
     return lam_inv_F, _gram(F, lam_inv_F)
 
 
-# (probe, digest, read-only Λ⁻¹F) of the last dense whitening; the digest and Λ⁻¹F are
-# None until that Λ and F's second call in a row.
+# (probe, (Λ copy, F copy), read-only Λ⁻¹F) of the last dense whitening; the copies and Λ⁻¹F
+# are None until that Λ and F's second call in a row.
 _LAST_WHITENING = (None, None, None)
+# Entries per block of rows that ``_same_bits`` compares: 512 KB of each matrix at a time.
+_COMPARED_ENTRIES = 1 << 16
 
 
-def _digest(lam: np.ndarray, F: np.ndarray) -> bytes:
-    """SHA-256 of the shapes, memory orders and bytes of Λ and F, both float64."""
-    import hashlib
+def _frozen_copy(x: np.ndarray) -> np.ndarray:
+    copy = np.array(x)  # order "K": an F-ordered Λ is copied, and later compared, along its memory
+    copy.flags.writeable = False
+    return copy
 
-    digest = hashlib.sha256()
-    for x in (lam, F):
-        # An F-ordered array is hashed as its C-ordered transpose, and tagged so.
-        order = "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
-        digest.update(f"{x.shape}{order}".encode())
-        digest.update(np.ascontiguousarray(x.T if order == "F" else x))
-    return digest.digest()
+
+def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
+    """Whether float64 matrix ``x`` has ``kept``'s shape and the bits of each of its entries."""
+    if kept.shape != x.shape:
+        return False
+    if x.flags.f_contiguous and not x.flags.c_contiguous:
+        kept, x = kept.T, x.T  # blocks of x's rows would be strided: walk its memory instead
+    kept, x = kept.view(np.uint64), x.view(np.uint64)
+    rows = max(1, _COMPARED_ENTRIES // x.shape[1])
+    return all(np.array_equal(kept[i : i + rows], x[i : i + rows]) for i in range(0, x.shape[0], rows))
 
 
 def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:
@@ -469,7 +498,7 @@ def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1
     else:
         lam = _check_correlation(corr, w.shape[0])
         check_symmetric(lam)
-        quad = np.dot(w, lam @ w)
+        quad = np.dot(w, _real_matrix_times(lam, w))
     return complex(sigma2 * (1.0 + quad))
 
 

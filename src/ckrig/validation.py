@@ -32,13 +32,14 @@ from .kriging import (
     _count,
     _feature_values,
     _noise_scale,
+    _real_matrix_times,
     _real_vector,
     build_design,
     feature_vector,
     kriging_weights,
     predict,  # noqa: F401  (bench/tracer.py wraps ckrig.validation.predict)
 )
-from .numerics import check_symmetric
+from .numerics import _SMALL_ORDER, check_symmetric
 
 KKT_RESIDUAL_TOL = 1e-9
 
@@ -117,28 +118,22 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
         lam = _check_correlation(corr, n)
         check_symmetric(lam)
 
-    # Built in the solve's dtype (a cast would copy it), and freed before the residuals are formed.
+    # Built Fortran-ordered in the solve's dtype, so that LAPACK solves it in place (a cast
+    # or a transposing copy would make a second one), and freed before the residuals are formed.
     dtype = np.result_type(f.dtype, float)
-    bordered = np.zeros((n + k, n + k), dtype=dtype)
+    bordered = np.zeros((n + k, n + k), dtype=dtype, order="F")
     bordered[:n, :n] = lam
     bordered[:n, n:] = F
     bordered[n:, :n] = F.T
     rhs = np.zeros(n + k, dtype=dtype)
     rhs[n:] = f
-
-    try:
-        solution = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("bordered kriging system is singular") from exc
+    solution = _solve_bordered(bordered, rhs)
     del bordered
 
     weights, multipliers = solution[:n], solution[n:]
     # max|Λ| for a finite Λ, with no n×n temporary.
     scale = max(1.0, float(np.max(np.abs(f))), float(lam.max()), -float(lam.min()))
-    # Λ is real: Λω is formed from Re ω and Im ω, as a complex ω would cast Λ to complex.
-    lam_weights = lam @ weights.real
-    if np.iscomplexobj(weights):
-        lam_weights = lam_weights + 1j * (lam @ weights.imag)
+    lam_weights = _real_matrix_times(lam, weights)
     stationarity = np.max(np.abs(lam_weights + F @ multipliers))
     unbiasedness = np.max(np.abs(F.T @ weights - f))
     if max(stationarity, unbiasedness) > KKT_RESIDUAL_TOL * scale:
@@ -147,6 +142,23 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
             f"exceeds {KKT_RESIDUAL_TOL:g}; the design is rank deficient"
         )
     return weights, multipliers
+
+
+def _solve_bordered(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The LU solve of ``kkt_solve``; above ``_SMALL_ORDER`` LAPACK's gesv overwrites ``bordered``
+    and ``rhs``, so no working copy is made, and small systems never import scipy."""
+    if bordered.shape[0] <= _SMALL_ORDER:
+        try:
+            return np.linalg.solve(bordered, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("bordered kriging system is singular") from exc
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    (gesv,) = get_lapack_funcs(("gesv",), (bordered, rhs))
+    _, _, solution, info = gesv(bordered, rhs, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SingularSystem("bordered kriging system is singular")
+    return solution
 
 
 def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:

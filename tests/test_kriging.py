@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -435,6 +436,25 @@ class TestVariances:
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
+def test_prediction_error_keeps_the_correlation_real():
+    # A complex ω meets the real Λ as Λ·Re ω and Λ·Im ω; Λ @ ω would cast Λ to an n×n
+    # complex temporary (16 MB at n = 1000).
+    n = 1000
+    design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
+    lam = _random_correlation(np.random.default_rng(12), n)
+    solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 0.5 + 0.3j))
+    tracemalloc.start()
+    try:
+        got = prediction_error_variance(solution, lam, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    w = solution.weights
+    expected = 2.5 * (1.0 + np.dot(w, lam.astype(complex) @ w))
+    assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
 @pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
 def test_dense_correlation_scanned_once(call, monkeypatch):
     calls = []
@@ -539,13 +559,15 @@ class TestWhitenedDesignSlot:
         monkeypatch.setattr(module, name, spy)
         return calls
 
-    def test_one_shot_whitening_is_not_digested(self, n, monkeypatch):
+    def test_one_shot_whitening_keeps_no_copy(self, n):
         x, lam = self._case(n)
-        digests = self._spy(monkeypatch, kriging, "_digest")
         self._query(x, lam, 0)
-        assert digests == []
+        assert kriging._LAST_WHITENING[1:] == (None, None)
         self._query(x, lam, 1)
-        assert digests == [(n, n)]
+        kept_lam, kept_F = kriging._LAST_WHITENING[1]
+        assert not kept_lam.flags.writeable and not kept_F.flags.writeable
+        assert not np.shares_memory(kept_lam, lam)
+        assert _same_bits(kept_lam, lam)
 
     def test_equal_copy_is_not_scanned_again(self, n, monkeypatch):
         x, lam = self._case(n)
@@ -569,6 +591,46 @@ class TestWhitenedDesignSlot:
         assert scans == [(n, n)]
         assert not np.array_equal(edited, first)
         assert _same_bits(edited, self._slot_free(x, lam))
+
+    def test_equal_entries_in_either_memory_order_share_the_kept_solution(self, n, monkeypatch):
+        # Each order's own repeat is solved once (its second call); every later query, in either
+        # order, is neither scanned nor solved, and gets the bits of a fresh solve.
+        x, lam = self._case(n)
+        lam_f = np.asfortranarray(lam)
+        for kept_as, asked_as in [(lam, lam_f), (lam_f, lam)]:
+            kriging._LAST_WHITENING = (None, None, None)
+            self._kept(x, kept_as)
+            scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+            solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+            got = self._query(x, asked_as, 1)
+            assert scans == solves == []
+            monkeypatch.undo()
+            assert _same_bits(got, self._slot_free(x, asked_as))
+            assert _same_bits(got, self._slot_free(x, kept_as))
+
+    def test_sign_of_a_zero_edited_in_place_is_solved_afresh(self, n, monkeypatch):
+        # 0.0 == -0.0, but their bits differ: the kept copy is compared bit for bit.
+        x, lam = self._case(n)
+        lam[0, 1] = lam[1, 0] = 0.0
+        self._kept(x, lam)
+        lam[0, 1] = lam[1, 0] = -0.0
+        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        edited = self._query(x, lam, 1)
+        assert scans == [(n, n)]
+        assert _same_bits(edited, self._slot_free(x, lam))
+
+    def test_another_lambda_releases_the_kept_copy(self, n, monkeypatch):
+        # Released before the solve, so that the old copy and the new factor are never held at once.
+        x, lam = self._case(n)
+        self._kept(x, lam)
+        kept = weakref.ref(kriging._LAST_WHITENING[1][0])
+        held_at_solve = []
+        solve = kriging.solve_spd
+        monkeypatch.setattr(kriging, "solve_spd", lambda a, b: held_at_solve.append(kept() is not None) or solve(a, b))
+        self._query(x, _random_correlation(np.random.default_rng(n + 1), n), 1)
+        assert held_at_solve and not any(held_at_solve)
+        assert kriging._LAST_WHITENING[1:] == (None, None)
+        assert kept() is None
 
     def test_covariates_changed_away_from_last_row_are_solved_afresh(self, n):
         x, lam = self._case(n)

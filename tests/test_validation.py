@@ -90,12 +90,14 @@ def test_oracle_equivalence_randomized():
 
 @pytest.mark.parametrize("kind", [float, complex])
 def test_kkt_solve_makes_one_bordered_copy(kind):
-    # The bordered matrix is built once, in the solve's dtype, and freed before the residual
-    # check makes its own matrix-sized temporary.  (np.linalg.solve's working copy is not traced.)
+    # The bordered matrix is built once, in the solve's dtype, solved in place by LAPACK's gesv
+    # (no working copy, traced or not), and freed before the residual check makes its own
+    # matrix-sized temporary.
     n = 300
     design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
     corr = _random_correlation(np.random.default_rng(8), n)
     f = np.array([1.0, 0.5], dtype=kind)
+    kkt_solve(design, corr, f)  # imports scipy.linalg before tracing starts
     tracemalloc.start()
     try:
         kkt_solve(design, corr, f)
@@ -112,14 +114,14 @@ def test_kkt_residual_keeps_the_correlation_real(monkeypatch):
     n = 300
     design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
     corr = _random_correlation(np.random.default_rng(8), n)
-    solve = np.linalg.solve
+    solve = validation._solve_bordered
 
     def solve_then_clear_traces(a, b):
         x = solve(a, b)
         tracemalloc.clear_traces()  # forgets every traced block and resets the peak
         return x
 
-    monkeypatch.setattr(np.linalg, "solve", solve_then_clear_traces)
+    monkeypatch.setattr(validation, "_solve_bordered", solve_then_clear_traces)
     tracemalloc.start()
     try:
         kkt_solve(design, corr, feature_vector(TrendBasis.linear(), 0.5 + 0.3j))
