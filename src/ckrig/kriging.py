@@ -10,10 +10,11 @@ small SPD system built from the design matrix.  Under white noise that
 system's matrix F'F depends on the design alone, so a ``DesignMatrix`` forms
 it once and every query of the design reuses it; the solve and its checks
 still run on every call.  Under a dense correlation matrix Λ the last Λ⁻¹F
-is kept next to private copies of Λ and F, so a caller that repeats one Λ
-and F at many points has Λ scanned and solved on its first two calls only;
-a repeat is confirmed by comparing every entry's bits with the copies, and
-the copies hold n²·8 bytes of memory while the repeats last.
+is kept next to a private copy of Λ and the design's own F, so a caller
+that repeats one Λ and F at many points has Λ scanned and solved on its
+first call only; a repeat is confirmed by comparing every entry's bits with
+the kept ones, and the copy of Λ holds n²·8 bytes of memory until another
+Λ arrives.
 
 Evaluation points may be complex.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
@@ -326,53 +327,41 @@ def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray
     checked and its Gram matrix formed on every call, and never touches the
     cached one.
 
-    Kriging queries one Λ at many points, so the last Λ⁻¹F is kept, read-only,
-    next to private read-only copies of Λ and F: from the third call in a row
-    with the same entries, Λ is neither scanned nor solved again.  A repeat is
-    confirmed by comparing the bits of every entry (0.0 and -0.0 differ), in
-    blocks of rows, with no temporary of Λ's size; equal entries in either
-    memory order share the kept Λ⁻¹F, as ``solve_spd`` gives them the same
-    bits.  Only a call whose probe, the built-in hash of the last rows, equals
-    the last call's is compared or kept, so a one-shot whitening keeps nothing.
-    The copies cost n²·8 bytes (32 MB at n = 2000) while one Λ is repeated;
-    a call with another Λ releases them before it solves.  A failing Λ raises
-    before anything is kept."""
+    Kriging queries one Λ at many points, so every dense solve keeps its
+    Λ⁻¹F, read-only, next to a private read-only copy of Λ and the design's
+    F (itself private and read-only): each later call with the same entries
+    is neither scanned nor solved again.  A repeat is confirmed by comparing
+    the bits of every entry (0.0 and -0.0 differ), in blocks of rows, with no
+    temporary of Λ's size; equal entries in any memory order share the kept
+    Λ⁻¹F, as ``solve_spd`` gives them the same bits.  The first call copies Λ
+    after its solve (~3 ms at n = 2000), and the copy holds n²·8 bytes (32 MB
+    at n = 2000) until a call with another Λ releases it before it solves.
+    A failing Λ raises before anything is kept."""
     global _LAST_WHITENING
     if corr is None:
         return design.F, design._white_gram
     lam = _check_correlation(corr, design.n)
     F = design.F
-    probe = hash((lam.shape, F.shape, lam[-1].tobytes(), F[-1].tobytes()))
-    last_probe, kept, lam_inv_F = _LAST_WHITENING
-    if probe == last_probe and kept is not None and _same_bits(kept[0], lam) and _same_bits(kept[1], F):
-        return lam_inv_F, _gram(F, lam_inv_F)
-    # Released before the solve, so that the old copies and LAPACK's factor are never held at once.
-    kept = lam_inv_F = None
-    _LAST_WHITENING = (None, None, None)
+    kept = _LAST_WHITENING
+    if kept is not None and _same_bits(kept[0], lam) and _same_bits(kept[1], F):
+        return kept[2], _gram(F, kept[2])
+    # Released before the solve, so that the old copy and LAPACK's factor are never held at once.
+    kept = _LAST_WHITENING = None
     lam_inv_F = solve_spd(lam, F)
     # Kept without a copy: callers receive only new arrays made from it.
     lam_inv_F.flags.writeable = False
-    if probe == last_probe:
-        # One tuple, assigned whole, so threads need no lock: a race loses a kept Λ⁻¹F, and
-        # never pairs one system's copies with another's solution.  A one-shot Λ⁻¹F is not
-        # held: holding it raised the fit-dense benchmark's peak RSS by ~3.7 MB.
-        _LAST_WHITENING = (probe, (_frozen_copy(lam), _frozen_copy(F)), lam_inv_F)
-    else:
-        _LAST_WHITENING = (probe, None, None)
+    lam_copy = np.array(lam)  # order "K": an F-ordered Λ is copied, and later compared, along its memory
+    lam_copy.flags.writeable = False
+    # One tuple, assigned whole, so threads need no lock: a race loses a kept Λ⁻¹F, and never
+    # pairs one system's Λ and F with another's solution.
+    _LAST_WHITENING = (lam_copy, F, lam_inv_F)
     return lam_inv_F, _gram(F, lam_inv_F)
 
 
-# (probe, (Λ copy, F copy), read-only Λ⁻¹F) of the last dense whitening; the copies and Λ⁻¹F
-# are None until that Λ and F's second call in a row.
-_LAST_WHITENING = (None, None, None)
+# None, or (read-only copy of Λ, the design's F, read-only Λ⁻¹F) of the last dense whitening.
+_LAST_WHITENING = None
 # Entries per block of rows that ``_same_bits`` compares: 512 KB of each matrix at a time.
 _COMPARED_ENTRIES = 1 << 16
-
-
-def _frozen_copy(x: np.ndarray) -> np.ndarray:
-    copy = np.array(x)  # order "K": an F-ordered Λ is copied, and later compared, along its memory
-    copy.flags.writeable = False
-    return copy
 
 
 def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:

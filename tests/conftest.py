@@ -20,9 +20,9 @@ def empty_whitening_slot():
     """Start each test with no kept Λ⁻¹F, so that no test's scans and solves depend on the tests before it."""
     from ckrig import kriging
 
-    kriging._LAST_WHITENING = (None, None, None)
+    kriging._LAST_WHITENING = None
     yield
-    kriging._LAST_WHITENING = (None, None, None)
+    kriging._LAST_WHITENING = None
 
 
 EXAMPLE_X = (1.7, 2.1, 3.9, 7.2, 8.6, 8.5, 7.3, 5.1, 2.8, 1.8, 1.6)

@@ -755,7 +755,7 @@ print(json.dumps([code, "scipy" in sys.modules, "hashlib" in sys.modules]))
 
 
 def test_one_shot_dense_fit_loads_neither_scipy_nor_hashlib(example_csv_path, tmp_path):
-    # One whitening per process: the kept-Λ⁻¹F slot takes its probe but never digests.
+    # One whitening per process: the kept-Λ⁻¹F slot copies Λ and never digests it.
     lam_file = _identity_lambda_file(tmp_path / "lam.txt", 11)
     proc = _run_fresh("-c", _ONE_SHOT_PROBE, str(example_csv_path), str(lam_file))
     assert proc.returncode == 0, proc.stderr

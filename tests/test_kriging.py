@@ -515,8 +515,8 @@ def test_dense_query_never_forms_white_gram(call, monkeypatch):
 
 @pytest.mark.parametrize("n", [11, 200])
 class TestWhitenedDesignSlot:
-    """``_whitened_design`` keeps the last Λ⁻¹F by the bytes of Λ and F, from the second call in a
-    row of one Λ and F on, at every order.  Each query builds a fresh design, as a dense fit does:
+    """``_whitened_design`` keeps the last Λ⁻¹F by the bits of Λ and F, from the first call of one
+    Λ and F on, at every order.  Each query builds a fresh design, as a dense fit does:
     ``gls_beta``, then ``kriging_weights`` at a point."""
 
     @staticmethod
@@ -537,11 +537,11 @@ class TestWhitenedDesignSlot:
         return kriging_weights(design, lam, feature_vector(TrendBasis.linear(), float(call))).weights
 
     def _slot_free(self, x, lam, call=1):
-        kriging._LAST_WHITENING = (None, None, None)
+        kriging._LAST_WHITENING = None
         return self._query(x, lam, call)
 
     def _kept(self, x, lam):
-        """Query ``x``, ``lam`` twice, so that its Λ⁻¹F is kept; the second result."""
+        """Query ``x``, ``lam`` twice: the first call keeps its Λ⁻¹F, the second is a hit; the second result."""
         self._query(x, lam, 0)
         return self._query(x, lam, 1)
 
@@ -559,13 +559,11 @@ class TestWhitenedDesignSlot:
         monkeypatch.setattr(module, name, spy)
         return calls
 
-    def test_one_shot_whitening_keeps_no_copy(self, n):
+    def test_one_shot_whitening_keeps_a_copy(self, n):
         x, lam = self._case(n)
         self._query(x, lam, 0)
-        assert kriging._LAST_WHITENING[1:] == (None, None)
-        self._query(x, lam, 1)
-        kept_lam, kept_F = kriging._LAST_WHITENING[1]
-        assert not kept_lam.flags.writeable and not kept_F.flags.writeable
+        kept_lam = kriging._LAST_WHITENING[0]
+        assert not kept_lam.flags.writeable
         assert not np.shares_memory(kept_lam, lam)
         assert _same_bits(kept_lam, lam)
 
@@ -575,14 +573,14 @@ class TestWhitenedDesignSlot:
         solves = self._spy(monkeypatch, kriging, "solve_spd", n)
         first = self._query(x, lam, 1)
         second = self._query(x.copy(), lam.copy(), 1)
-        assert scans == solves == [(n, n)] * 2
+        assert scans == solves == [(n, n)]
         for _ in range(3):
             again = self._query(x.copy(), lam.copy(), 1)
-            assert scans == solves == [(n, n)] * 2
+            assert scans == solves == [(n, n)]
             assert _same_bits(again, second) and _same_bits(again, first)
 
     def test_in_place_edit_of_lambda_is_solved_afresh(self, n, monkeypatch):
-        # The edit leaves Λ's last row, part of the probe, as it was: only the digest can see it.
+        # The edit leaves Λ's last row as it was: only the comparison of every entry can see it.
         x, lam = self._case(n)
         first = self._kept(x, lam)
         lam[0, 1] = lam[1, 0] = 0.5 * lam[0, 1]
@@ -593,12 +591,12 @@ class TestWhitenedDesignSlot:
         assert _same_bits(edited, self._slot_free(x, lam))
 
     def test_equal_entries_in_either_memory_order_share_the_kept_solution(self, n, monkeypatch):
-        # Each order's own repeat is solved once (its second call); every later query, in either
-        # order, is neither scanned nor solved, and gets the bits of a fresh solve.
+        # Each order is solved once (its first call); every later query, in either order, is
+        # neither scanned nor solved, and gets the bits of a fresh solve.
         x, lam = self._case(n)
         lam_f = np.asfortranarray(lam)
         for kept_as, asked_as in [(lam, lam_f), (lam_f, lam)]:
-            kriging._LAST_WHITENING = (None, None, None)
+            kriging._LAST_WHITENING = None
             self._kept(x, kept_as)
             scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
             solves = self._spy(monkeypatch, kriging, "solve_spd", n)
@@ -623,13 +621,14 @@ class TestWhitenedDesignSlot:
         # Released before the solve, so that the old copy and the new factor are never held at once.
         x, lam = self._case(n)
         self._kept(x, lam)
-        kept = weakref.ref(kriging._LAST_WHITENING[1][0])
+        kept = weakref.ref(kriging._LAST_WHITENING[0])
         held_at_solve = []
         solve = kriging.solve_spd
         monkeypatch.setattr(kriging, "solve_spd", lambda a, b: held_at_solve.append(kept() is not None) or solve(a, b))
-        self._query(x, _random_correlation(np.random.default_rng(n + 1), n), 1)
+        other = _random_correlation(np.random.default_rng(n + 1), n)
+        self._query(x, other, 1)
         assert held_at_solve and not any(held_at_solve)
-        assert kriging._LAST_WHITENING[1:] == (None, None)
+        assert _same_bits(kriging._LAST_WHITENING[0], other)
         assert kept() is None
 
     def test_covariates_changed_away_from_last_row_are_solved_afresh(self, n):
@@ -665,12 +664,13 @@ class TestWhitenedDesignSlot:
             for call in range(3):
                 with pytest.raises(error, match=match):
                     self._query(x, bad, call)
-        assert kriging._LAST_WHITENING == (None, None, None)
+        assert kriging._LAST_WHITENING is None
 
     def test_memory_order_is_part_of_the_key(self, n):
         # The bytes of an F-ordered Λ are those of its C-ordered transpose.  An asymmetry within
         # tolerance, away from the last row and column, makes the two differ in the lower triangle,
-        # which the factorization reads; their last rows are equal, so only the order tag tells them apart.
+        # which the factorization reads; their last rows are equal, so only a comparison of every
+        # entry, not of the bytes in memory, tells them apart.
         x, lam = self._case(n)
         lam_f = np.asfortranarray(lam)
         lam_f[0, 1] += 1e-13
@@ -681,6 +681,37 @@ class TestWhitenedDesignSlot:
         got = self._query(x, same_bytes, 1)
         assert not np.array_equal(got, kept)
         assert _same_bits(got, self._slot_free(x, same_bytes))
+
+    def test_strided_lambda_repeat_is_neither_scanned_nor_solved(self, n, monkeypatch):
+        # Every other row and column of a larger correlation matrix: neither C- nor F-contiguous.
+        x = self._case(n)[0]
+        view = self._case(2 * n)[1][::2, ::2]
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        self._query(x, view, 0)
+        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+        got = self._query(x, view, 1)
+        assert scans == solves == []
+        monkeypatch.undo()
+        assert _same_bits(got, self._slot_free(x, np.ascontiguousarray(view)))
+
+    def test_caller_edit_of_its_design_array_leaves_the_kept_whitening(self, n, monkeypatch):
+        # The design keeps a private copy of the caller's F, so the slot may keep the design's F as is.
+        x, lam = self._case(n)
+        F = np.column_stack([np.ones(n), x])
+        design = DesignMatrix(F)
+        feature = feature_vector(TrendBasis.linear(), 1.0)
+        first = kriging_weights(design, lam, feature).weights
+        kept = kriging._LAST_WHITENING
+        F[:] = 0.0
+        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+        got = kriging_weights(design, lam, feature).weights
+        assert scans == solves == []
+        assert kriging._LAST_WHITENING is kept
+        assert not np.shares_memory(kept[1], F)
+        monkeypatch.undo()
+        assert _same_bits(got, first) and _same_bits(got, self._slot_free(x, lam))
 
 
 def test_gram_warning_on_every_white_query():

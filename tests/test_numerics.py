@@ -349,7 +349,7 @@ class TestSolveMemo:
 
     @pytest.mark.parametrize("edited", ["a", "b"])
     def test_in_place_edit_is_solved_afresh(self, k, edited, monkeypatch):
-        # The edit leaves the last rows as they were, so a probe of them alone could not see it.
+        # The edit leaves the last rows as they were: a check of them alone could not see it.
         a = _random_spd(k)
         b = np.random.default_rng(k).normal(size=k)
         solve_spd(a, b)
