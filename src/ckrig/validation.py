@@ -16,10 +16,17 @@ The driver keeps no complex array the size of the run: the errors are an
 (R, 2) real array of their real and imaginary parts, each block's rows are
 one real BLAS product ``noise @ [Re w, Im w]``, and the second moments
 come from dot products of the two columns.
+
+Since each block has its own generator and its own rows of the errors, the
+blocks are filled concurrently, one thread per CPU available to the process
+up to the block count (numpy's generators and BLAS release the GIL while
+they fill).  The report does not depend on the number of CPUs.  A one-block
+run is filled inline and starts no thread.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +181,16 @@ def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
     return rng.uniform(-half_width, half_width, shape)
 
 
+def _fill_workers(blocks: int) -> int:
+    """Threads that fill the ``blocks`` of one run: one per CPU available to the process, at most
+    one per block."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(blocks, cpus)
+
+
 def simulate_process(config: SimulationConfig, replicate: int = 0) -> Sample:
     """One realization of the model, deterministic in (seed, replicate)."""
     x = np.asarray(config.covariates)
@@ -191,6 +208,10 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     per block, and the second moments are dot products of the columns.
     They equal ``predict`` on ``simulate_process`` replicates up to
     summation order.
+
+    The blocks are filled concurrently, one thread per CPU available to the
+    process up to the block count, and the report does not depend on the
+    number of CPUs; a one-block run is filled inline.
     """
     design = build_design(config.basis, np.asarray(config.covariates))
     f = feature_vector(config.basis, evaluation_point)
@@ -201,10 +222,24 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     replicates = config.replicates
     w = np.column_stack([weights.real, weights.imag])
     errors = np.empty((replicates, 2))
-    for start in range(0, replicates, BLOCK):
+
+    # Calls no name that bench/tracer.py wraps: its span stack is not thread-safe.
+    def fill(start):
         rows = errors[start : start + BLOCK]
         np.dot(_block_noise(config, start // BLOCK, len(rows)), w, out=rows)
         rows += (offset.real, offset.imag)
+
+    starts = range(0, replicates, BLOCK)
+    workers = _fill_workers(len(starts))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # Reading every result raises a block's exception; leaving the pool joins its threads.
+            list(pool.map(fill, starts))
+    else:
+        for start in starts:
+            fill(start)
 
     # Column by column: np.mean sums a column pairwise, where axis=0 would add row by row.
     mean_re, mean_im = (float(np.mean(column)) for column in errors.T)

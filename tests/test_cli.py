@@ -762,6 +762,22 @@ def test_one_shot_dense_fit_loads_neither_scipy_nor_hashlib(example_csv_path, tm
     assert json.loads(proc.stdout) == [EXIT_OK, False, False]
 
 
+
+_ONE_BLOCK_PROBE = """
+import contextlib, io, json, sys
+from ckrig.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["simulate", "--replicates", "1000"])
+print(json.dumps([code, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_one_block_simulate_loads_no_thread_pool():
+    # A run of one block is filled inline: the thread pool and its imports are for longer runs.
+    proc = _run_fresh("-c", _ONE_BLOCK_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [EXIT_OK, False]
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -402,3 +406,142 @@ class TestMonteCarlo:
             if abs(report.mean_error_re) <= bound_re and abs(report.mean_error_im) <= bound_im:
                 hits += 1
         assert hits >= math.ceil(0.95 * runs)
+
+
+# repr of the acceptance run (covariates 1..11, beta (1, 0.5), sigma 1, 10^5 replicates, at the
+# plus zero-variance point), taken when the blocks were filled one after another.
+_ACCEPTANCE_REPRS = {
+    (20260810, "gaussian"): (
+        "MonteCarloReport(mean_error_re=-0.0005688738443742356, mean_error_im=0.000494407023754544, "
+        "var_re=0.09032552973172762, var_im=0.09130031565219592, cov_re_im=0.00031320581011343206, "
+        "bilinear_mse=(-0.0009747067413228006+0.0006258491097782872j), replicates_used=100000)"
+    ),
+    (20260810, "uniform"): (
+        "MonteCarloReport(mean_error_re=0.0014267731463959265, mean_error_im=0.0006882854902707209, "
+        "var_re=0.0903061064078589, var_im=0.0914917729294722, cov_re_im=-9.447770451374253e-05, "
+        "bilinear_mse=(-0.001184104576918199-0.00018699135451834045j), replicates_used=100000)"
+    ),
+    (7, "gaussian"): (
+        "MonteCarloReport(mean_error_re=-0.0011514480526178626, mean_error_im=0.0005249356080808726, "
+        "var_re=0.0904385285596573, var_im=0.09143450388309664, cov_re_im=-0.00038796070983424533, "
+        "bilinear_mse=(-0.0009949250482141764-0.0007771302918358396j), replicates_used=100000)"
+    ),
+    (7, "uniform"): (
+        "MonteCarloReport(mean_error_re=0.0001764110266623949, mean_error_im=0.0005314256761041, "
+        "var_re=0.09075187825166325, var_im=0.09105390255973507, cov_re_im=0.0001743146694344907, "
+        "bilinear_mse=(-0.0003022756004707333+0.0003488168375672138j), replicates_used=100000)"
+    ),
+}
+
+
+def _acceptance_config(replicates, seed, noise_kind):
+    return SimulationConfig(
+        covariates=tuple(float(i) for i in range(1, 12)), beta=(1.0, 0.5), sigma=1.0,
+        replicates=replicates, seed=seed, noise_kind=noise_kind,
+    )
+
+
+def _fill_with(monkeypatch, workers):
+    """Fill every run's blocks on ``workers`` threads, whatever the CPU and block counts."""
+    monkeypatch.setattr(validation, "_fill_workers", lambda blocks: workers)
+
+
+class TestConcurrentFill:
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize(
+        "replicates", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5], ids=["one", "block", "block+1", "four-blocks"]
+    )
+    def test_report_does_not_depend_on_worker_count(self, monkeypatch, replicates, noise_kind):
+        cfg = _acceptance_config(replicates, 20261019, noise_kind)
+        point = zero_variance_points(cfg.covariates).plus
+        reports = []
+        for workers in (1, 2, 3):
+            _fill_with(monkeypatch, workers)
+            reports.append(monte_carlo_mse(cfg, point))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Each thread writes its own rows of one shared array; a lost or misplaced write changes
+        # the report.
+        cfg = _acceptance_config(16 * BLOCK + 3, 31, "uniform")
+        point = zero_variance_points(cfg.covariates).plus
+        _fill_with(monkeypatch, 1)
+        serial = monte_carlo_mse(cfg, point)
+        _fill_with(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            reports = [monte_carlo_mse(cfg, point) for _ in range(5)]
+            elapsed = time.perf_counter() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(report == serial for report in reports)
+        assert elapsed < 30.0
+
+    @pytest.mark.parametrize("seed,noise_kind", list(_ACCEPTANCE_REPRS))
+    def test_acceptance_report_is_pinned(self, seed, noise_kind):
+        cfg = _acceptance_config(100_000, seed, noise_kind)
+        report = monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert repr(report) == _ACCEPTANCE_REPRS[seed, noise_kind]
+
+    def test_worker_count_is_bounded_by_blocks_and_cpus(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        assert validation._fill_workers(1) == 1
+        assert validation._fill_workers(10**6) == cpus
+        # Without sched_getaffinity the CPU count stands in, and an unknown one means one thread.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [validation._fill_workers(b) for b in (1, 2, 5)] == [1, 2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert validation._fill_workers(5) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_block_raises_its_exception(self, monkeypatch, workers):
+        failure = RuntimeError("block 2 failed")
+        block_noise = validation._block_noise
+
+        def noise(config, block, rows):
+            if block == 2:
+                raise failure
+            return block_noise(config, block, rows)
+
+        monkeypatch.setattr(validation, "_block_noise", noise)
+        _fill_with(monkeypatch, workers)
+        cfg = _acceptance_config(3 * BLOCK + 5, 11, "gaussian")
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert raised.value is failure
+        assert threading.active_count() == before
+
+    def _thread_starts(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        return started
+
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    def test_no_thread_outlives_a_multi_block_call(self, monkeypatch, noise_kind):
+        started = self._thread_starts(monkeypatch)
+        _fill_with(monkeypatch, 2)
+        cfg = _acceptance_config(3 * BLOCK + 5, 11, noise_kind)
+        before = threading.active_count()
+        monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert threading.active_count() == before
+        assert 1 <= len(started) <= 2
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_threads_started_are_bounded_by_blocks_and_cpus(self, monkeypatch):
+        started = self._thread_starts(monkeypatch)
+        cfg = _acceptance_config(3 * BLOCK + 5, 11, "uniform")
+        monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        workers = validation._fill_workers(4)
+        assert len(started) <= (workers if workers > 1 else 0)
+
+    @pytest.mark.parametrize("replicates", [1, 1000, BLOCK])
+    def test_a_one_block_call_starts_no_thread(self, monkeypatch, replicates):
+        started = self._thread_starts(monkeypatch)
+        cfg = _acceptance_config(replicates, 11, "gaussian")
+        monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert started == []
