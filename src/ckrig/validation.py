@@ -10,7 +10,11 @@ Stream contract: block b of ``BLOCK`` replicates draws its (BLOCK, n) noise
 matrix row-major from ``Generator(Philox(key=seed).jumped(b))``, and
 replicate r is the trend plus row ``r % BLOCK`` of block ``r // BLOCK``.  A
 replicate depends on (seed, r, BLOCK) only, never on the replicate count;
-``BLOCK`` is part of the contract.
+``BLOCK`` is part of the contract.  Philox is counter-based and
+``jumped(b)`` adds b to the third word of its 256-bit counter, so
+``_block_noise`` builds that state directly as
+``Philox(key=seed, counter=[0, 0, b, 0])``: one bit generator per block
+instead of two.
 
 The driver keeps no complex array the size of the run: the errors are an
 (R, 2) real array of their real and imaginary parts, each block's rows are
@@ -18,15 +22,19 @@ one real BLAS product ``noise @ [Re w, Im w]``, and the second moments
 come from dot products of the two columns.
 
 Since each block has its own generator and its own rows of the errors, the
-blocks are filled concurrently, one thread per CPU available to the process
-up to the block count (numpy's generators and BLAS release the GIL while
-they fill).  The report does not depend on the number of CPUs.  A one-block
-run is filled inline and starts no thread.
+blocks are filled concurrently (numpy's generators and BLAS release the GIL
+while they fill).  The calling thread fills blocks too, next to at most
+one thread fewer than the CPUs available to the process, and never more
+threads than blocks; all of them take blocks from one shared queue of block
+starts.  The first failing block stops the draw: no thread takes another
+block, and that exception is raised once every thread is joined.  The report
+does not depend on the number of CPUs.  A one-block run starts no thread.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +178,8 @@ def _solve_bordered(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
     """The first ``rows`` rows of the noise matrix of ``block``; Philox fills it row-major."""
-    rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(block))
+    # The state of Philox(key=seed).jumped(block), built from its counter.
+    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, block, 0]))
     shape = (rows, config.n)
     if config.noise_kind == "gaussian":
         noise = rng.standard_normal(shape)
@@ -182,8 +191,8 @@ def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
 
 
 def _fill_workers(blocks: int) -> int:
-    """Threads that fill the ``blocks`` of one run: one per CPU available to the process, at most
-    one per block."""
+    """Threads that fill the ``blocks`` of one run, the calling thread included: one per CPU
+    available to the process, at most one per block."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -209,9 +218,11 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     They equal ``predict`` on ``simulate_process`` replicates up to
     summation order.
 
-    The blocks are filled concurrently, one thread per CPU available to the
-    process up to the block count, and the report does not depend on the
-    number of CPUs; a one-block run is filled inline.
+    The blocks are filled concurrently: the calling thread and up to
+    ``_fill_workers(blocks) - 1`` started threads take block starts from one
+    shared iterator.  The first exception stops the draw, so no thread takes
+    another block, and is raised once every thread is joined.  The report
+    does not depend on the number of CPUs; a one-block run starts no thread.
     """
     design = build_design(config.basis, np.asarray(config.covariates))
     f = feature_vector(config.basis, evaluation_point)
@@ -229,17 +240,43 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
         np.dot(_block_noise(config, start // BLOCK, len(rows)), w, out=rows)
         rows += (offset.real, offset.imag)
 
-    starts = range(0, replicates, BLOCK)
-    workers = _fill_workers(len(starts))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    block_starts = range(0, replicates, BLOCK)
+    starts = iter(block_starts)
+    failures = []
+    # Taking a start and closing the draw are one step each, so no block is taken after a failure.
+    lock = threading.Lock()
 
-        with ThreadPoolExecutor(workers) as pool:
-            # Reading every result raises a block's exception; leaving the pool joins its threads.
-            list(pool.map(fill, starts))
-    else:
-        for start in starts:
-            fill(start)
+    def drain():
+        nonlocal starts
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            try:
+                fill(start)
+            except BaseException as exc:  # raised on the calling thread below
+                with lock:
+                    failures.append(exc)
+                    starts = iter(())
+                return
+
+    threads = []
+    try:
+        for _ in range(_fill_workers(len(block_starts)) - 1):
+            thread = threading.Thread(target=drain)
+            thread.start()
+            threads.append(thread)
+        drain()
+    finally:
+        # Past the last block this changes nothing; after a thread that would not start, or an
+        # interrupt, the running threads stop at their current block.
+        with lock:
+            starts = iter(())
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
     # Column by column: np.mean sums a column pairwise, where axis=0 would add row by row.
     mean_re, mean_im = (float(np.mean(column)) for column in errors.T)

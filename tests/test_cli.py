@@ -778,6 +778,23 @@ def test_one_block_simulate_loads_no_thread_pool():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [EXIT_OK, False]
 
+
+_MULTI_BLOCK_PROBE = """
+import contextlib, io, json, sys
+from ckrig.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["simulate", "--replicates", "10000"])
+print(json.dumps([code, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_multi_block_simulate_loads_no_executor():
+    # The blocks of a longer run are filled by plain threads, with no executor behind them.
+    proc = _run_fresh("-c", _MULTI_BLOCK_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [EXIT_OK, False]
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

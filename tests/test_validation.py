@@ -167,6 +167,19 @@ def test_block_noise_bytes_are_pinned(noise_kind):
         assert digest == _NOISE_DIGESTS[noise_kind, block, rows]
 
 
+@pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])
+def test_block_noise_is_the_jumped_philox_stream(seed, noise_kind):
+    # _block_noise builds each block's Philox state from its counter; the contract defines it by
+    # jumps, bit for bit.
+    cfg = SimulationConfig(
+        covariates=(1.0, 2.0, 3.0), beta=(1.0,), sigma=0.37, replicates=1, seed=seed,
+        noise_kind=noise_kind,
+    )
+    for block in (0, 1, 24, 2**20):
+        np.testing.assert_array_equal(validation._block_noise(cfg, block, 5), _block_draw(cfg, block)[:5])
+
+
 class TestSimulateProcess:
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_replicate_is_row_of_its_block(self, noise_kind):
@@ -514,6 +527,92 @@ class TestConcurrentFill:
             monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
         assert raised.value is failure
         assert threading.active_count() == before
+
+    def test_one_worker_draws_no_block_after_the_failing_one(self, monkeypatch):
+        failure = RuntimeError("block 2 failed")
+        block_noise = validation._block_noise
+        drawn = []
+
+        def noise(config, block, rows):
+            drawn.append(block)
+            if block == 2:
+                raise failure
+            return block_noise(config, block, rows)
+
+        monkeypatch.setattr(validation, "_block_noise", noise)
+        _fill_with(monkeypatch, 1)
+        cfg = _acceptance_config(8 * BLOCK, 11, "gaussian")
+        with pytest.raises(RuntimeError) as raised:
+            monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert raised.value is failure
+        assert drawn == [0, 1, 2]
+
+    @pytest.mark.parametrize("failing_side", ["caller", "started"])
+    def test_two_workers_take_no_block_after_the_failure_is_recorded(self, monkeypatch, failing_side):
+        # From block 2 on, the block the failing side draws fails.  A block the other thread takes
+        # meanwhile is held until the failure is recorded: a started thread has then ended, the
+        # calling thread has gone on to join.  After that no thread may take another block.
+        failure = RuntimeError("block failed")
+        block_noise = validation._block_noise
+        caller = threading.current_thread()
+        started = self._thread_starts(monkeypatch)
+        drawn, held_in_time = [], []
+        joining = threading.Event()
+        join = threading.Thread.join
+
+        def join_signalled(thread, timeout=None):
+            joining.set()
+            return join(thread, timeout)
+
+        def noise(config, block, rows):
+            drawn.append(block)
+            if block >= 2:
+                if (threading.current_thread() is caller) == (failing_side == "caller"):
+                    raise failure
+                if failing_side == "caller":
+                    held_in_time.append(joining.wait(10))
+                else:
+                    join(started[0], 10)
+                    held_in_time.append(not started[0].is_alive())
+            return block_noise(config, block, rows)
+
+        monkeypatch.setattr(validation, "_block_noise", noise)
+        monkeypatch.setattr(threading.Thread, "join", join_signalled)
+        _fill_with(monkeypatch, 2)
+        cfg = _acceptance_config(8 * BLOCK, 11, "uniform")
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert raised.value is failure
+        assert all(held_in_time)
+        # A prefix of the blocks: 0 and 1, the failing one and at most one held.
+        assert sorted(drawn) == list(range(len(drawn))) and len(drawn) <= 4
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_calling_thread_fills_next_to_workers_minus_one_threads(self, monkeypatch, workers):
+        started = self._thread_starts(monkeypatch)
+        block_noise = validation._block_noise
+        drawn_on = {}
+
+        def noise(config, block, rows):
+            drawn_on[block] = threading.current_thread()
+            return block_noise(config, block, rows)
+
+        monkeypatch.setattr(validation, "_block_noise", noise)
+        _fill_with(monkeypatch, workers)
+        cfg = _acceptance_config(3 * BLOCK + 5, 11, "gaussian")
+        monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert len(started) == workers - 1
+        assert sorted(drawn_on) == [0, 1, 2, 3]
+        assert set(drawn_on.values()) <= {threading.current_thread(), *started}
+
+    def test_one_worker_fills_many_blocks_without_a_thread(self, monkeypatch):
+        started = self._thread_starts(monkeypatch)
+        _fill_with(monkeypatch, 1)
+        cfg = _acceptance_config(3 * BLOCK + 5, 11, "uniform")
+        monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert started == []
 
     def _thread_starts(self, monkeypatch):
         started = []
