@@ -8,13 +8,13 @@ weights, the Lagrange multipliers of the constraint, the generalized
 least-squares trend coefficients, and the trend variance all come out of one
 small SPD system built from the design matrix.  Under white noise that
 system's matrix F'F depends on the design alone, so a ``DesignMatrix`` forms
-it once and every query of the design reuses it; the solve and its checks
-still run on every call.  Under a dense correlation matrix Λ the last Λ⁻¹F
-is kept next to a private copy of Λ and the design's own F, so a caller
-that repeats one Λ and F at many points has Λ scanned and solved on its
-first call only; a repeat is confirmed by comparing every entry's bits with
-the kept ones, and the copy of Λ holds n²·8 bytes of memory until another
-Λ arrives.
+and factors it once and each query only substitutes; a degenerate design
+raises, and an ill-conditioned one warns, on every query.  A dense correlation
+matrix Λ has its Gram matrix factored once per call, and the last Λ⁻¹F is
+kept next to a private copy of Λ and the design's own F, so a caller that
+repeats one Λ and F at many points has Λ scanned and solved on its first
+call only; a repeat is confirmed by comparing every entry's bits with the
+kept ones, and the copy of Λ holds n²·8 bytes until another Λ arrives.
 
 Evaluation points may be complex.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import _numeric_array, _real_array, check_symmetric, solve_spd
+from .numerics import _cholesky, _numeric_array, _real_array, _substitute, check_symmetric, solve_spd
 
 # Warn (do not fail) when the trend Gram matrix is worse conditioned than this.
 GRAM_CONDITION_LIMIT = 1e8
@@ -126,8 +126,8 @@ class DesignMatrix:
 
     ``F`` must be a finite, non-empty real matrix.  The design keeps a
     private read-only float copy of it, so writes to the caller's array reach
-    neither the design nor its white-noise Gram matrix F'F, which is formed on
-    the first white-noise query and reused by every later one.
+    neither the design nor its white-noise Gram matrix F'F, which is formed
+    and factored on the first white-noise query and reused by every later one.
     """
 
     F: np.ndarray
@@ -155,6 +155,11 @@ class DesignMatrix:
         gram = _gram(self.F, self.F)
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def _white_factor(self):
+        """The factor of ``_white_gram``; a degenerate design raises on each query (a raise caches nothing)."""
+        return _gram_factor(self._white_gram)
 
     @property
     def n(self) -> int:
@@ -271,10 +276,11 @@ def _count(value, what: str, low: int = 1, high: Optional[int] = None) -> int:
 
 
 def _noise_scale(value, what: str):
-    """The noise-scale rule for σ² and σ: a real number, finite and non-negative (NaN fails both bounds)."""
+    """The noise-scale rule for σ² and σ: a real number, not a bool, finite and non-negative (NaN
+    fails both bounds)."""
     # Text and complex values would fail to compare.  float is named first, as the check
     # against the abstract class alone takes ~1 µs, and each trend_variance call pays it.
-    if not isinstance(value, (float, numbers.Real)):
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     if not 0.0 <= value < np.inf:
         raise ValueError(f"{what} must be finite and non-negative")
@@ -375,10 +381,10 @@ def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
     return all(np.array_equal(kept[i : i + rows], x[i : i + rows]) for i in range(0, x.shape[0], rows))
 
 
-def _gram_solve(gram: np.ndarray, rhs) -> np.ndarray:
-    # A symmetrized Gram matrix fails solve_spd on a pivot or on overflowed entries: both degenerate.
+def _gram_factor(gram: np.ndarray):
+    # A symmetrized Gram matrix fails the factorization on a pivot or on overflowed entries: both degenerate.
     try:
-        return solve_spd(gram, rhs)
+        return _cholesky(gram)
     except ValueError as exc:
         raise DegenerateDesign(
             "trend design is rank deficient; distinct covariates (and n >= k) are required"
@@ -419,7 +425,8 @@ def gls_beta(design: DesignMatrix, corr, obs) -> np.ndarray:
         with all covariates equal, or fewer observations than coefficients.
     """
     lam_inv_F, gram = _whitened_design(design, corr)
-    beta = _gram_solve(gram, _weigh_observations(lam_inv_F.T, obs))
+    rhs = _weigh_observations(lam_inv_F.T, obs)
+    beta = _substitute(design._white_factor if corr is None else _gram_factor(gram), rhs)
     _warn_if_ill_conditioned(gram)
     return beta
 
@@ -445,8 +452,9 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
     """
     f = _feature_values(feature, design.k)
     lam_inv_F, gram = _whitened_design(design, corr)
+    factor = design._white_factor if corr is None else _gram_factor(gram)
 
-    gram_inv_f = _gram_solve(gram, f)
+    gram_inv_f = _substitute(factor, f)
     _warn_if_ill_conditioned(gram)
     weights = lam_inv_F @ gram_inv_f
     multipliers = -gram_inv_f
@@ -456,7 +464,7 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
         weights=weights,
         multipliers=multipliers,
         variance_factor=variance_factor,
-        beta_hat=None if obs is None else _gram_solve(gram, _weigh_observations(lam_inv_F.T, obs)),
+        beta_hat=None if obs is None else _substitute(factor, _weigh_observations(lam_inv_F.T, obs)),
     )
 
 

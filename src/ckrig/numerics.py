@@ -14,12 +14,14 @@ plus branch and derives the minus branch as its conjugate.
   imports scipy, whose blocked factorization the loop cannot approach at large
   k (and numpy has no triangular solve).
 
-``solve_spd`` keeps nothing between calls (``kriging`` keeps the Λ⁻¹F that
-its queries repeat).  Both paths read the lower triangle, and both add the
-relative pivot guard that LAPACK lacks.  The package's one rule for a matrix's
-entries, ``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``),
-lives here too; it scans matrices of order > 2 in square tiles, so it makes
-no temporary of the matrix's size.
+``solve_spd`` keeps nothing between calls.  It is a factor step, ``_cholesky``,
+then a substitution step, ``_substitute``: ``kriging`` keeps each design's
+white-noise Gram factor, and the Λ⁻¹F that its dense queries repeat.  Both
+paths read the lower triangle, and both add the relative pivot guard that
+LAPACK lacks.  The package's one rule for a matrix's entries,
+``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``), lives here
+too; it scans matrices of order > 2 in square tiles, so it makes no temporary
+of the matrix's size.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def check_symmetric(a: np.ndarray) -> None:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
+    The argument checks, then ``_cholesky(a)`` and ``_substitute`` of ``b``.
     Two factorizations share one contract, chosen by the order k of ``a``:
     k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats with one
     substitution per column of ``b`` (the trend Gram matrices and small Λ), so
@@ -137,37 +140,33 @@ def solve_spd(a, b) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != k:
         raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
     b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
-    check_symmetric(a)
-    if k > _SMALL_ORDER:
-        return _factor_and_solve(a, b)
-    return _small_cholesky_solve(a, b)
+    return _substitute(_cholesky(a), b)
 
 
-def _factor_and_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_spd`` above ``_SMALL_ORDER``: LAPACK's blocked Cholesky, behind the same pivot guard."""
-    from scipy.linalg import cho_solve
-    from scipy.linalg.lapack import dpotrf
+def _cholesky(a: np.ndarray):
+    """The factor step of ``solve_spd``: ``check_symmetric``, then the Cholesky factor of ``a``
+    behind the pivot guard.  Above ``_SMALL_ORDER`` it is LAPACK's blocked upper factor, an array.
 
-    # aᵀ is Fortran-ordered, so f2py copies it without transposing, and its
-    # upper triangle is a's lower one.
-    upper, info = dpotrf(a.T, lower=False, clean=False)
-    # Written so that NaN pivots fail; past a LAPACK failure the factor is unfinished.
-    failed = ~(np.diagonal(upper) ** 2 > PIVOT_RTOL * np.diagonal(a))
-    if info > 0:
-        failed[info - 1 :] = True
-    if failed.any():
-        raise _not_positive_definite(int(np.argmax(failed)))
-    return cho_solve((upper, False), b, check_finite=False)
-
-
-def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_spd`` up to ``_SMALL_ORDER``: a row-by-row Cholesky in Python floats.
-
-    Row i of the factor is ``l_ij = (a_ij − Σ_{p<j} l_ip·l_jp) / √pivot_j`` for j < i,
-    then the pivot ``a_ii − Σ_{p<i} l_ip²``, each sum taken left to right.  Each division
-    is a multiplication by the reciprocal, as OpenBLAS's kernels do; only a's lower triangle is read.
-    Then each column of b, as a list of Python numbers, is substituted forward and back alone.
+    Up to it, a row-by-row Cholesky in Python floats gives the factor's rows below the diagonal
+    and the reciprocals of its diagonal, two lists.  Row i of the factor is
+    ``l_ij = (a_ij − Σ_{p<j} l_ip·l_jp) / √pivot_j`` for j < i, then the pivot
+    ``a_ii − Σ_{p<i} l_ip²``, each sum taken left to right.  Each division is a multiplication by
+    the reciprocal, as OpenBLAS's kernels do; only a's lower triangle is read.
     """
+    check_symmetric(a)
+    if a.shape[0] > _SMALL_ORDER:
+        from scipy.linalg.lapack import dpotrf
+
+        # aᵀ is Fortran-ordered, so f2py copies it without transposing, and its
+        # upper triangle is a's lower one.
+        upper, info = dpotrf(a.T, lower=False, clean=False)
+        # Written so that NaN pivots fail; past a LAPACK failure the factor is unfinished.
+        failed = ~(np.diagonal(upper) ** 2 > PIVOT_RTOL * np.diagonal(a))
+        if info > 0:
+            failed[info - 1 :] = True
+        if failed.any():
+            raise _not_positive_definite(int(np.argmax(failed)))
+        return upper
     lower, recip = [], []
     for i, row in enumerate(a.tolist()):
         factor_row = []
@@ -184,6 +183,18 @@ def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise _not_positive_definite(i)
         recip.append(1.0 / math.sqrt(pivot))
         lower.append(factor_row)
+    return lower, recip
+
+
+def _substitute(factor, b: np.ndarray) -> np.ndarray:
+    """The substitution step of ``solve_spd``: x = a⁻¹b from ``factor = _cholesky(a)``, float or,
+    for a complex ``b``, complex.  LAPACK's factor goes to ``dpotrs``; with the loop's, each column
+    of b, as a list of Python numbers, is substituted forward and back alone."""
+    if isinstance(factor, np.ndarray):
+        from scipy.linalg import cho_solve
+
+        return cho_solve((factor, False), b, check_finite=False)
+    lower, recip = factor
     k = len(lower)
     columns = [b.tolist()] if b.ndim == 1 else b.T.tolist()
     for y in columns:
@@ -197,9 +208,10 @@ def _small_cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for p in range(i + 1, k):
                 s -= lower[p][i] * y[p]
             y[i] = s * recip[i]
+    dtype = np.result_type(b.dtype, float)
     if b.ndim == 1:
-        return np.array(columns[0], dtype=b.dtype)
-    return np.array(columns, dtype=b.dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
+        return np.array(columns[0], dtype=dtype)
+    return np.array(columns, dtype=dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
 
 
 def _numeric_array(values, what: str) -> np.ndarray:

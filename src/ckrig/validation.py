@@ -12,9 +12,9 @@ replicate r is the trend plus row ``r % BLOCK`` of block ``r // BLOCK``.  A
 replicate depends on (seed, r, BLOCK) only, never on the replicate count;
 ``BLOCK`` is part of the contract.  Philox is counter-based and
 ``jumped(b)`` adds b to the third word of its 256-bit counter, so
-``_block_noise`` builds that state directly as
-``Philox(key=seed, counter=[0, 0, b, 0])``: one bit generator per block
-instead of two.
+``_block_noise`` sets that state directly, counter ``[0, 0, b, 0]`` and the
+seed's two key words, on one generator per thread: a new Philox per block
+would draw an OS-entropy seed that its key then overrides.
 
 The driver keeps no complex array the size of the run: the errors are an
 (R, 2) real array of their real and imaginary parts, each block's rows are
@@ -62,6 +62,8 @@ KKT_RESIDUAL_TOL = 1e-9
 BLOCK = 4096
 
 _NOISE_KINDS = ("gaussian", "uniform")
+
+_THREAD = threading.local()  # holds each thread's generator for ``_block_noise``
 
 
 class SingularSystem(ValueError):
@@ -178,8 +180,15 @@ def _solve_bordered(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
     """The first ``rows`` rows of the noise matrix of ``block``; Philox fills it row-major."""
-    # The state of Philox(key=seed).jumped(block), built from its counter.
-    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, block, 0]))
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox())
+    # The state of Philox(key=seed).jumped(block), with nothing buffered.
+    key = (config.seed & 0xFFFF_FFFF_FFFF_FFFF, config.seed >> 64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, block, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     shape = (rows, config.n)
     if config.noise_kind == "gaussian":
         noise = rng.standard_normal(shape)

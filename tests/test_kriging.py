@@ -408,6 +408,21 @@ class TestVariances:
             with pytest.raises(ValueError, match="must be finite and non-negative"):
                 call()
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    def test_bool_is_not_a_noise_scale(self, flag):
+        # A Python bool is an int, so a numbers.Real; it must fail as a numpy bool does.
+        sol = kriging_weights(build_design(TrendBasis.constant(), [1.0, 2.0]), None, [1.0])
+        for call in (
+            lambda: trend_variance(sol, flag),
+            lambda: prediction_error_variance(sol, None, flag),
+            lambda: constant_mean_variance(2, flag),
+            lambda: SimulationConfig(
+                covariates=(1.0,), beta=(0.0,), sigma=flag, replicates=1, seed=0
+            ),
+        ):
+            with pytest.raises(ValueError, match="must be a real number"):
+                call()
+
     def test_prediction_error_constant(self):
         d = build_design(TrendBasis.constant(), np.arange(1.0, 12.0))
         sol = kriging_weights(d, None, [1.0])
@@ -511,6 +526,84 @@ def test_dense_query_never_forms_white_gram(call, monkeypatch):
             kriging_weights(d, lam, [1.0, 4.6], obs=EXAMPLE_Y)
     assert calls == [False, False, False]
     assert "_white_gram" not in vars(d)
+
+
+def _spy_gram_factor(monkeypatch):
+    """Record the order of each Gram matrix that ``kriging`` factors."""
+    orders = []
+    original = kriging._cholesky
+
+    def spy(gram):
+        orders.append(gram.shape[0])
+        return original(gram)
+
+    monkeypatch.setattr(kriging, "_cholesky", spy)
+    return orders
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_white_gram_factored_once_per_design(k, monkeypatch):
+    orders = _spy_gram_factor(monkeypatch)
+    basis = _basis_for(k)
+    d = build_design(basis, EXAMPLE_X)
+    points = (4.6, 1.0, 4.6 + 2.7j, 4.6 - 2.7j) if k < 3 else (4.6, 1.0, 9.0)
+    for _ in range(2):
+        for point in points:
+            f = feature_vector(basis, point)
+            kriging_weights(d, None, f)
+            kriging_weights(d, None, f, obs=EXAMPLE_Y)
+            gls_beta(d, None, EXAMPLE_Y)
+    assert orders == [k]
+    kriging_weights(build_design(basis, EXAMPLE_X), None, feature_vector(basis, 4.6))
+    assert orders == [k, k]  # each design keeps its own factor
+
+
+@pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
+def test_dense_query_factors_its_gram_once(call, monkeypatch):
+    # The Λ solve goes through kriging.solve_spd, not kriging._cholesky; only Gram factors count.
+    orders = _spy_gram_factor(monkeypatch)
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    lam = _random_correlation(np.random.default_rng(3), 11)
+    for calls in range(1, 4):
+        if call == "gls_beta":
+            gls_beta(d, lam, EXAMPLE_Y)
+        else:
+            kriging_weights(d, lam, [1.0, 4.6 + 1.0j], obs=EXAMPLE_Y)
+        assert orders == [2] * calls
+    assert "_white_factor" not in vars(d)
+
+
+def _solve_spd_reference(design, corr, f, obs):
+    """Weights, multipliers, variance factor and β̂ with a full ``solve_spd`` for every right-hand side."""
+    F = design.F
+    lam_inv_F = F if corr is None else solve_spd(corr, F)
+    gram = kriging._gram(F, lam_inv_F)
+    gram_inv_f = solve_spd(gram, f)
+    beta = solve_spd(gram, np.dot(lam_inv_F.T, obs))
+    return lam_inv_F @ gram_inv_f, -gram_inv_f, complex(f @ gram_inv_f), beta
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [11, 200, 100_000])
+def test_kept_factor_matches_solve_spd_bitwise(n, k, shift):
+    # The kept factor substitutes with solve_spd's own float operations, white and dense.
+    rng = np.random.default_rng(n + k)
+    x = np.linspace(-4.0, 4.0, n) + rng.uniform(-0.01, 0.01, n) + shift
+    y = np.sin(x) + rng.normal(size=n)
+    d = DesignMatrix(np.column_stack([x**p for p in range(k)]))
+    correlations = [None] if n > 200 else [None, _random_correlation(rng, n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GramConditionWarning)  # the shifted bases are ill-conditioned
+        for corr in correlations:
+            for point in (shift + 0.5, shift + 0.5 + 1.3j):
+                f = np.array([point**p for p in range(k)])
+                want = _solve_spd_reference(d, corr, f, y)
+                for _ in range(2):
+                    got = kriging_weights(d, corr, f, obs=y)
+                    assert _same_bits(got.weights, want[0]) and _same_bits(got.multipliers, want[1])
+                    assert _same_bits(got.variance_factor, want[2]) and _same_bits(got.beta_hat, want[3])
+                    assert _same_bits(gls_beta(d, corr, y), want[3])
 
 
 @pytest.mark.parametrize("n", [11, 200])

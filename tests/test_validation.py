@@ -180,6 +180,23 @@ def test_block_noise_is_the_jumped_philox_stream(seed, noise_kind):
         np.testing.assert_array_equal(validation._block_noise(cfg, block, 5), _block_draw(cfg, block)[:5])
 
 
+def test_a_thread_builds_one_generator_for_all_its_blocks(monkeypatch):
+    # Building a Philox draws an OS-entropy seed; a thread builds one and sets its state per block.
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(threading.current_thread()) or philox(*a, **kw))
+    _fill_with(monkeypatch, 1)
+    cfg = _acceptance_config(8 * BLOCK, 11, "uniform")
+    point = zero_variance_points(cfg.covariates).plus
+    reports = []
+    thread = threading.Thread(target=lambda: reports.extend(monte_carlo_mse(cfg, point) for _ in range(2)))
+    thread.start()
+    thread.join()
+    assert built == [thread]
+    monkeypatch.undo()
+    assert reports == [monte_carlo_mse(cfg, point)] * 2
+
+
 class TestSimulateProcess:
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_replicate_is_row_of_its_block(self, noise_kind):
