@@ -24,6 +24,7 @@ deliberate.  A Hermitian form would be strictly positive at those roots.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -158,7 +159,8 @@ class DesignMatrix:
 
     @cached_property
     def _white_factor(self):
-        """The factor of ``_white_gram``; a degenerate design raises on each query (a raise caches nothing)."""
+        """(factor, equilibrated condition) of ``_white_gram``, re-reported on every query; a degenerate
+        design raises on each query (a raise caches nothing)."""
         return _gram_factor(self._white_gram)
 
     @property
@@ -214,7 +216,7 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
     whose values must be finite.  A text point raises ``ValueError``.
     """
     z = complex(_numeric_array(point, "evaluation point"))
-    if not np.isfinite(z):
+    if not cmath.isfinite(z):
         raise ValueError("evaluation point must be finite")
     if basis.kind == "constant":
         return np.array([1.0])
@@ -251,11 +253,18 @@ def _real_vector(values, what: str) -> np.ndarray:
 
 
 def _feature_values(feature, k: int) -> np.ndarray:
-    """The feature-vector rule: k finite (real or complex) trend basis values."""
-    f = np.atleast_1d(_numeric_array(feature, "feature vector"))
+    """The feature-vector rule: k finite (real or complex) trend basis values.  An object array,
+    of ``Fraction``s say, is cast to complex if an entry is complex and to float otherwise."""
+    f = _numeric_array(feature, "feature vector")
+    f = f.reshape(1) if f.ndim == 0 else f
     if f.shape != (k,):
         raise LengthMismatch(f"feature vector must have length {k}, got {f.shape}")
-    if not np.isfinite(f).all():
+    if f.dtype.kind == "O":
+        try:
+            f = f.astype(complex if any(map(np.iscomplexobj, f.flat)) else float)
+        except (TypeError, ValueError):
+            raise ValueError("feature vector must be numeric") from None
+    if not _all_finite(f):
         raise ValueError("feature vector must be finite")
     return f
 
@@ -287,15 +296,22 @@ def _noise_scale(value, what: str):
     return value
 
 
+def _all_finite(values) -> bool:
+    """Whether each entry of a small array or numpy scalar is finite, read as Python numbers."""
+    entries = values.tolist()  # a numpy scalar gives one Python number, not a list
+    return all(map(cmath.isfinite, entries)) if isinstance(entries, list) else cmath.isfinite(entries)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # as a decorator it costs ~0.5 µs less than a with-block
 def _weigh_observations(weights: np.ndarray, obs):
     """The observation rule: ``weights @ v`` for real v of matching length, raising unless finite.
     A non-finite v makes every entry non-finite (0·inf is NaN), so the O(k) result is checked."""
-    v = np.atleast_1d(_real_array(obs, "observations"))
+    v = _real_array(obs, "observations")
+    v = v.reshape(1) if v.ndim == 0 else v
     if v.shape != weights.shape[-1:]:
         raise LengthMismatch(f"expected {weights.shape[-1]} observations, got {v.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        weighted = np.dot(weights, v)
-    if not np.isfinite(weighted).all():
+    weighted = np.dot(weights, v)
+    if not _all_finite(weighted):
         raise ValueError("observations must be finite, and their weighted sums must not overflow")
     return weighted
 
@@ -384,25 +400,28 @@ def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
 def _gram_factor(gram: np.ndarray):
     # A symmetrized Gram matrix fails the factorization on a pivot or on overflowed entries: both degenerate.
     try:
-        return _cholesky(gram)
+        factor = _cholesky(gram)
     except ValueError as exc:
         raise DegenerateDesign(
             "trend design is rank deficient; distinct covariates (and n >= k) are required"
         ) from exc
+    return factor, _condition(gram)
 
 
-def _warn_if_ill_conditioned(gram: np.ndarray) -> None:
-    # Called only after a successful solve: degenerate designs raise instead.  Judges the
-    # equilibrated matrix D^-1/2 G D^-1/2, D = diag(G), so rescaling a covariate never warns.
+def _condition(gram: np.ndarray) -> float:
+    # Taken only after a successful factorization: degenerate designs raise instead.  The condition of
+    # the equilibrated matrix D^-1/2 G D^-1/2, D = diag(G), so rescaling a covariate never warns.
     k = gram.shape[0]
     if k == 1:
-        return
+        return 1.0
     if k == 2:
         r = abs(float(gram[0, 1])) / (math.sqrt(gram[0, 0]) * math.sqrt(gram[1, 1]))
-        cond = (1.0 + r) / (1.0 - r)
-    else:
-        scale = np.sqrt(np.diagonal(gram))
-        cond = np.linalg.cond(gram / np.outer(scale, scale))
+        return (1.0 + r) / (1.0 - r)
+    scale = np.sqrt(np.diagonal(gram))
+    return np.linalg.cond(gram / np.outer(scale, scale))
+
+
+def _warn_if_ill_conditioned(cond: float) -> None:
     if cond > GRAM_CONDITION_LIMIT:
         warnings.warn(
             f"equilibrated trend Gram matrix condition {cond:.2e} exceeds "
@@ -426,8 +445,9 @@ def gls_beta(design: DesignMatrix, corr, obs) -> np.ndarray:
     """
     lam_inv_F, gram = _whitened_design(design, corr)
     rhs = _weigh_observations(lam_inv_F.T, obs)
-    beta = _substitute(design._white_factor if corr is None else _gram_factor(gram), rhs)
-    _warn_if_ill_conditioned(gram)
+    factor, cond = design._white_factor if corr is None else _gram_factor(gram)
+    beta = _substitute(factor, rhs)
+    _warn_if_ill_conditioned(cond)
     return beta
 
 
@@ -452,10 +472,10 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
     """
     f = _feature_values(feature, design.k)
     lam_inv_F, gram = _whitened_design(design, corr)
-    factor = design._white_factor if corr is None else _gram_factor(gram)
+    factor, cond = design._white_factor if corr is None else _gram_factor(gram)
 
     gram_inv_f = _substitute(factor, f)
-    _warn_if_ill_conditioned(gram)
+    _warn_if_ill_conditioned(cond)
     weights = lam_inv_F @ gram_inv_f
     multipliers = -gram_inv_f
     variance_factor = complex(f @ gram_inv_f)

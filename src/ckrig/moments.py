@@ -5,7 +5,8 @@ evaluation point j, is (j² - 2·m_n·j + m_sn)/(n·σ_n²) and vanishes at the
 conjugate points j = m_n ± i·σ_n built from the covariate moments.
 Evaluating the fit there turns the sample into a complex mean whose real
 part is the plain average and whose imaginary part carries the slope, and
-into a complex variance via the weighted square of the observations.
+into a complex variance via the weighted square of the observations.  Each
+``Sample`` keeps the moment pass behind its mean and slope: one pass per sample.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class ComplexMoments:
     observations at the zero-variance point; ``real_se``, the standard error
     of the real part of the mean; ``moments`` (which carries the
     zero-variance points) and ``slope``, from the same moment pass as the
-    mean.  Derived: ``variance`` = weighted_square - mean² and ``imag_se`` =
-    |Im mean| = |slope|·σ_n, the standard error of the imaginary part.
+    mean, which the sample keeps.  Derived: ``variance`` = weighted_square
+    - mean² and ``imag_se`` = |Im mean| = |slope|·σ_n, the standard error
+    of the imaginary part.
     """
 
     mean: ConjugatePair
@@ -120,12 +122,17 @@ def zero_variance_points(covariates) -> ConjugatePair:
 
 
 def _mean_components(sample: Sample) -> tuple[IndexMoments, ConjugatePair, float]:
-    """(moments, complex mean v̄ + i·cov/σ_n, slope cov/σ_n²) from one pass over (x, v)."""
+    """(moments, complex mean v̄ + i·cov/σ_n, slope cov/σ_n²) from one pass over (x, v), taken on
+    the first call and kept on the Sample, which is immutable.  A raise keeps nothing."""
+    if "_moment_pass" in vars(sample):
+        return sample._moment_pass
     mom = _nondegenerate_moments(sample.covariates)
     vbar = float(np.mean(sample.observations))
     xvbar = float(np.mean(sample.covariates * sample.observations))
     cov = xvbar - mom.m_n * vbar
-    return mom, ConjugatePair(complex(vbar, cov / mom.sigma_n)), cov / (mom.sigma_n * mom.sigma_n)
+    kept = mom, ConjugatePair(complex(vbar, cov / mom.sigma_n)), cov / (mom.sigma_n * mom.sigma_n)
+    object.__setattr__(sample, "_moment_pass", kept)  # past the frozen dataclass's __setattr__
+    return kept
 
 
 def complex_mean(sample: Sample) -> ConjugatePair:

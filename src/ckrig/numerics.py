@@ -208,32 +208,31 @@ def _substitute(factor, b: np.ndarray) -> np.ndarray:
             for p in range(i + 1, k):
                 s -= lower[p][i] * y[p]
             y[i] = s * recip[i]
-    dtype = np.result_type(b.dtype, float)
+    dtype = complex if b.dtype.kind == "c" else float
     if b.ndim == 1:
         return np.array(columns[0], dtype=dtype)
     return np.array(columns, dtype=dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
 
 
 def _numeric_array(values, what: str) -> np.ndarray:
-    """The numeric-array rule: ``values`` as an array; text, which numpy and ``complex()``
-    would parse ("1_0" as 10), raises, as does a list holding any str (numpy makes it text)
-    and an object array holding any str or bytes (a cast calls ``float()`` on each element).
-    Other objects, such as ``Fraction``, are left to the cast."""
+    """The numeric-array rule: ``values`` as an array (an ndarray as itself); text, which numpy
+    and ``complex()`` would parse ("1_0" as 10), raises, as does a list holding any str (numpy
+    makes it text) and an object array holding any str or bytes (a cast calls ``float()`` on
+    each element).  Other object arrays, of ``Fraction``s say, are left to the caller's cast."""
     x = np.asarray(values)
-    if x.dtype.kind in "US" or (
-        x.dtype.kind == "O" and any(isinstance(e, (str, bytes)) for e in x.flat)
-    ):
+    kind = x.dtype.kind
+    if kind in "US" or (kind == "O" and any(isinstance(e, (str, bytes)) for e in x.flat)):
         raise ValueError(f"{what} must be numeric, not text")
     return x
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """The real-array rule: ``values`` as floats; a complex dtype, which a cast would cut,
-    raises, as does text (``_numeric_array``)."""
+    """The real-array rule: ``values`` as floats, a float64 array as itself; a complex dtype,
+    which a cast would cut, raises, as does text (``_numeric_array``)."""
     x = _numeric_array(values, what)
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real")
-    return x.astype(float, copy=False)
+    return x if x.dtype == np.float64 else x.astype(float)
 
 
 def _not_finite() -> ValueError:

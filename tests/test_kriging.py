@@ -1,3 +1,5 @@
+import hashlib
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -1149,3 +1151,204 @@ def test_rescaled_design_does_not_warn(basis, x, feature):
         warnings.simplefilter("error", GramConditionWarning)
         gls_beta(d, None, EXAMPLE_Y)
         kriging_weights(d, None, feature, obs=EXAMPLE_Y)
+
+
+def _white_query_bytes(n, k, point_kind):
+    """Every output of seeded white queries of one design: weights, multipliers, variance factor,
+    β̂, ``predict`` and ``trend_variance`` at four points, as bytes."""
+    rng = np.random.default_rng([24, n, k])
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    y = 1.0 + 0.5 * x + rng.normal(size=n)
+    basis = _basis_for(k)
+    design = build_design(basis, x)
+    points = rng.uniform(0.0, 10.0, 4) + (1j * rng.uniform(0.5, 3.0, 4) if point_kind == "complex" else 0.0)
+    out = []
+    for z in points.tolist():
+        f = feature_vector(basis, z) if k < 3 else np.array([1.0, z, z * z])
+        sol = kriging_weights(design, None, f, obs=y)
+        values = (sol.weights, sol.multipliers, sol.variance_factor, sol.beta_hat)
+        out += [np.asarray(v).tobytes() for v in values + (predict(sol, y), trend_variance(sol, 0.7))]
+    return b"".join(out)
+
+
+# SHA-256 of ``_white_query_bytes``, taken before the input rules were made cheap on float64 and
+# complex128 arrays: those rules add no floating-point operation, so no output bit may move.
+# Like the golden CLI file, they hold for the BLAS kernels of the pinned numpy wheel.
+WHITE_QUERY_DIGESTS = {
+    # The constant basis's feature is (1,) at every point, real or complex.
+    (11, 1, "real"): "2228b729a66b79a4fe0adbe2fbbd8c5886714c1410da148568d5fa0e3ce3914d",
+    (11, 1, "complex"): "2228b729a66b79a4fe0adbe2fbbd8c5886714c1410da148568d5fa0e3ce3914d",
+    (11, 2, "real"): "80c7faac093f56685b643ce2ef73c404dc7355bb4108366ae3ad111c4a26d60a",
+    (11, 2, "complex"): "033cb498046e05feae4d13f0de4411b0883cb61e109d7f25e2f8261edfef807e",
+    (11, 3, "real"): "2e79947bd2aeb020c8e66676ad5ad5921e2339bee913b132ddbc32d7b425add7",
+    (11, 3, "complex"): "a92ebb5fa679d1ac11f5af72005b68fc803893f30a283f76d5df28d5cb21861b",
+    (200, 1, "real"): "8f75f255e2a0801caaba8cd8e88a76e99f054c7cc8518d1815571a22dd6eb19b",
+    (200, 1, "complex"): "8f75f255e2a0801caaba8cd8e88a76e99f054c7cc8518d1815571a22dd6eb19b",
+    (200, 2, "real"): "b4584dde778b03563485d7b121e1a4f2cfb34dbc9aea9dfe1fb1e74cb1e80764",
+    (200, 2, "complex"): "f24cbcf17ae88d1a66ee61d3b48482cc3cb7f659d5ed1df161cab749f8a1423c",
+    (200, 3, "real"): "f70f6fef957d55188e300aac404a74fffe332b55d3d6f05baaaafeed4a61702a",
+    (200, 3, "complex"): "c39e71beec1bc959a91b3a3d5d5a7e26506068970392470746c94e5f8a797c82",
+    (100000, 1, "real"): "6db45aa4a3783c9371fe24bf69b04b801fe5234090741dd921ea1d16d19037a0",
+    (100000, 1, "complex"): "6db45aa4a3783c9371fe24bf69b04b801fe5234090741dd921ea1d16d19037a0",
+    (100000, 2, "real"): "4b64672789a95e63d66b67d45fdafad4bd3b1241ff42f2a569c9aa7d33402c3f",
+    (100000, 2, "complex"): "a8d983a18ad2d5cef619f84bad70e65139711afb9b98808cd795ecd427e0e13c",
+    (100000, 3, "real"): "07ec245aa719d955095f4073aa69cc5d048866281cb907351b0b8f2ec24bf81b",
+    (100000, 3, "complex"): "8151476498a01e5c48ebaac27407d2ca2c4761cfca2561b97ace1fa402da81a6",
+}
+
+
+@pytest.mark.parametrize("point_kind", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [11, 200, 100_000])
+def test_white_query_bytes_are_pinned(n, k, point_kind):
+    digest = hashlib.sha256(_white_query_bytes(n, k, point_kind)).hexdigest()
+    assert digest == WHITE_QUERY_DIGESTS[n, k, point_kind]
+
+
+_X = list(EXAMPLE_X)
+_X_TEXT = [str(v) for v in _X]
+_BAD_SAMPLE_VALUES = {
+    "text": _X_TEXT,
+    "bytes": [s.encode() for s in _X_TEXT],
+    "complex": [v + 1j for v in _X],
+    "nan": _X[:-1] + [math.nan],
+    "inf": _X[:-1] + [-math.inf],
+    "wrong-length": _X[:-1],
+    "overflow": [1.7e308] * len(_X),
+}
+_BAD_FEATURES = {
+    "text": ["1.0", "4.6"],
+    "bytes": [b"1.0", b"4.6"],
+    "nan": [1.0, math.nan],
+    "inf": [math.inf, 4.6],
+    "wrong-length": [1.0, 4.6, 21.16],
+}
+
+
+def _rule_call(entry):
+    """The entry point ``entry`` as a function of its one checked argument."""
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    far = kriging_weights(d, None, [1.0, 100.0])  # weights up to ~6 in size, of both signs
+    return {
+        "kriging_weights.feature": lambda f: kriging_weights(d, None, f),
+        "kkt_solve.feature": lambda f: kkt_solve(d, None, f),
+        "kriging_weights.obs": lambda v: kriging_weights(d, None, [1.0, 4.6 + 1j], obs=v),
+        "gls_beta.obs": lambda v: gls_beta(d, None, v),
+        "predict.obs": lambda v: predict(far, v),
+        "Sample.covariates": lambda x: Sample(x, EXAMPLE_Y),
+        "Sample.observations": lambda v: Sample(EXAMPLE_X, v),
+        "solve_spd.rhs": lambda b: solve_spd(np.eye(len(EXAMPLE_X)), b),
+    }[entry]
+
+
+def _as_array(values, kind):
+    """``values`` as an ndarray: bytes go in an object array, where text keeps no text dtype."""
+    return np.array(values, dtype=object) if kind == "bytes" else np.array(values)
+
+
+# (entry, input kind) -> (exception type, message) that each rule raised, for the input given as a
+# list, before the rules were made cheap on float64 and complex128 arrays; both forms keep them.
+RULE_ERRORS = {
+    ("kriging_weights.feature", "text"): ("ValueError", "feature vector must be numeric, not text"),
+    ("kriging_weights.feature", "bytes"): ("ValueError", "feature vector must be numeric, not text"),
+    ("kriging_weights.feature", "nan"): ("ValueError", "feature vector must be finite"),
+    ("kriging_weights.feature", "inf"): ("ValueError", "feature vector must be finite"),
+    ("kriging_weights.feature", "wrong-length"): ("LengthMismatch", "feature vector must have length 2, got (3,)"),
+    ("kkt_solve.feature", "text"): ("ValueError", "feature vector must be numeric, not text"),
+    ("kkt_solve.feature", "bytes"): ("ValueError", "feature vector must be numeric, not text"),
+    ("kkt_solve.feature", "nan"): ("ValueError", "feature vector must be finite"),
+    ("kkt_solve.feature", "inf"): ("ValueError", "feature vector must be finite"),
+    ("kkt_solve.feature", "wrong-length"): ("LengthMismatch", "feature vector must have length 2, got (3,)"),
+    ("kriging_weights.obs", "text"): ("ValueError", "observations must be numeric, not text"),
+    ("kriging_weights.obs", "bytes"): ("ValueError", "observations must be numeric, not text"),
+    ("kriging_weights.obs", "complex"): ("ValueError", "observations must be real"),
+    ("kriging_weights.obs", "nan"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("kriging_weights.obs", "inf"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("kriging_weights.obs", "wrong-length"): ("LengthMismatch", "expected 11 observations, got (10,)"),
+    ("kriging_weights.obs", "overflow"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("gls_beta.obs", "text"): ("ValueError", "observations must be numeric, not text"),
+    ("gls_beta.obs", "bytes"): ("ValueError", "observations must be numeric, not text"),
+    ("gls_beta.obs", "complex"): ("ValueError", "observations must be real"),
+    ("gls_beta.obs", "nan"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("gls_beta.obs", "inf"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("gls_beta.obs", "wrong-length"): ("LengthMismatch", "expected 11 observations, got (10,)"),
+    ("gls_beta.obs", "overflow"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("predict.obs", "text"): ("ValueError", "observations must be numeric, not text"),
+    ("predict.obs", "bytes"): ("ValueError", "observations must be numeric, not text"),
+    ("predict.obs", "complex"): ("ValueError", "observations must be real"),
+    ("predict.obs", "nan"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("predict.obs", "inf"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("predict.obs", "wrong-length"): ("LengthMismatch", "expected 11 observations, got (10,)"),
+    ("predict.obs", "overflow"): ("ValueError", "observations must be finite, and their weighted sums must not overflow"),
+    ("Sample.covariates", "text"): ("ValueError", "covariates must be numeric, not text"),
+    ("Sample.covariates", "bytes"): ("ValueError", "covariates must be numeric, not text"),
+    ("Sample.covariates", "complex"): ("ValueError", "covariates must be real"),
+    ("Sample.covariates", "nan"): ("ValueError", "covariates must be finite"),
+    ("Sample.covariates", "inf"): ("ValueError", "covariates must be finite"),
+    ("Sample.covariates", "wrong-length"): ("LengthMismatch", "covariates (10,) and observations (11,) must be equal-length vectors"),
+    ("Sample.observations", "text"): ("ValueError", "observations must be numeric, not text"),
+    ("Sample.observations", "bytes"): ("ValueError", "observations must be numeric, not text"),
+    ("Sample.observations", "complex"): ("ValueError", "observations must be real"),
+    ("Sample.observations", "nan"): ("ValueError", "observations must be finite"),
+    ("Sample.observations", "inf"): ("ValueError", "observations must be finite"),
+    ("Sample.observations", "wrong-length"): ("LengthMismatch", "covariates (11,) and observations (10,) must be equal-length vectors"),
+    ("solve_spd.rhs", "text"): ("ValueError", "right-hand side must be numeric, not text"),
+    ("solve_spd.rhs", "bytes"): ("ValueError", "right-hand side must be numeric, not text"),
+    ("solve_spd.rhs", "wrong-length"): ("ValueError", "right-hand side must have shape (11,) or (11, m), got (10,)"),
+}
+
+
+@pytest.mark.parametrize("form", ["list", "ndarray"])
+@pytest.mark.parametrize("entry, kind", sorted(RULE_ERRORS), ids="-".join)
+def test_rule_errors_are_pinned(entry, kind, form):
+    values = (_BAD_FEATURES if entry.endswith("feature") else _BAD_SAMPLE_VALUES)[kind]
+    if form == "ndarray":
+        values = _as_array(values, kind)
+    with pytest.raises(Exception) as err:
+        _rule_call(entry)(values)
+    assert (type(err.value).__name__, str(err.value)) == RULE_ERRORS[entry, kind]
+
+
+@pytest.mark.parametrize("entry", ["kriging_weights", "kkt_solve"])
+def test_fraction_feature_is_read_as_floats(entry):
+    # Fractions are numbers: the feature rule casts them, as the observation rule does.
+    from fractions import Fraction
+
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+
+    def call(f):
+        return kriging_weights(d, None, f).weights if entry == "kriging_weights" else kkt_solve(d, None, f)[0]
+
+    want = call([1.0, 2.5])
+    for fractions in ([Fraction(1), Fraction(5, 2)], np.array([Fraction(1), Fraction(5, 2)], dtype=object)):
+        assert _same_bits(call(fractions), want)
+    assert _same_bits(call(np.array([Fraction(1), 2.5 + 1j], dtype=object)), call([1.0, 2.5 + 1j]))
+    with pytest.raises(ValueError, match="feature vector must be numeric"):
+        call([object(), 1.0])
+
+
+def test_white_condition_is_taken_once_per_design(monkeypatch):
+    # The equilibrated condition of a k = 3 design is an SVD (np.linalg.cond); it is kept next to
+    # the white factor and re-reported on every query.
+    calls = []
+    original = kriging._condition
+
+    def spy(gram):
+        calls.append(gram.shape[0])
+        return original(gram)
+
+    monkeypatch.setattr(kriging, "_condition", spy)
+    basis = _basis_for(3)
+    d = build_design(basis, EXAMPLE_X)
+    for point in (4.6, 1.0, 9.0):
+        for _ in range(3):
+            kriging_weights(d, None, feature_vector(basis, point), obs=EXAMPLE_Y)
+            gls_beta(d, None, EXAMPLE_Y)
+    assert calls == [3]
+    shifted = build_design(basis, np.array(EXAMPLE_X) + 1e3)  # equilibrated condition ~1e12
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            kriging_weights(shifted, None, [1.0, 1e3, 1e6])
+    assert calls == [3, 3]
+    assert [w.category for w in caught] == [GramConditionWarning] * 3

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from ckrig import (
     slope,
     zero_variance_points,
 )
+from ckrig import moments
 from conftest import EXAMPLE_X, summation_oracle
 
 
@@ -378,3 +380,68 @@ def test_variance_quadratic_vanishes_at_points(s):
     for point in (pts.plus, pts.minus):
         residual = point * point - 2.0 * mom.m_n * point + mom.m_sn
         assert abs(residual) <= 1e-10 * mom.m_sn
+
+
+def _moment_bytes(n):
+    """Every output of ``complex_mean``, ``complex_variance``, ``slope`` and
+    ``imaginary_standard_error`` of a seeded linear sample, as bytes."""
+    rng = np.random.default_rng([24, n])
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    sample = Sample(x, 1.0 + 0.5 * x + rng.normal(size=n))
+    stats = complex_variance(sample)
+    mom = stats.moments
+    values = (complex_mean(sample).plus, slope(sample), imaginary_standard_error(sample), stats.mean.plus,
+              stats.weighted_square.plus, stats.variance.plus, stats.real_se, stats.imag_se, stats.slope,
+              mom.m_n, mom.m_sn, mom.sigma_n)
+    return b"".join(np.asarray(v).tobytes() for v in values)
+
+
+# SHA-256 of ``_moment_bytes``, taken before each Sample kept its moment pass: keeping it adds no
+# floating-point operation, so no output bit may move.
+MOMENT_DIGESTS = {
+    11: "a4cfcea22de6592fc0b0004ce81798292e2ed58778de56b44a5989f47bcbe9c9",
+    200: "e776c7e997618d56b9b37c71b12028a654c28fc37c734ff8fe27c6cddc984790",
+    100_000: "c4209765d0f17bf01e2e7a13d5bc61bd08d8fcbf4230d72938475aba8c12a53d",
+}
+
+
+@pytest.mark.parametrize("n", [11, 200, 100_000])
+def test_moment_bytes_are_pinned(n):
+    assert hashlib.sha256(_moment_bytes(n)).hexdigest() == MOMENT_DIGESTS[n]
+
+
+def _spy_moment_pass(monkeypatch):
+    """Record the Sample of each moment pass: a pass starts with the covariate moments."""
+    calls = []
+    original = moments._nondegenerate_moments
+
+    def spy(covariates):
+        calls.append(covariates)
+        return original(covariates)
+
+    monkeypatch.setattr(moments, "_nondegenerate_moments", spy)
+    return calls
+
+
+def _the_four(sample):
+    return complex_mean(sample), complex_variance(sample), slope(sample), imaginary_standard_error(sample)
+
+
+def test_one_moment_pass_per_sample(monkeypatch):
+    calls = _spy_moment_pass(monkeypatch)
+    x = np.array(EXAMPLE_X)
+    first, second = Sample(x, 2.0 * x), Sample(x, 2.0 * x)
+    for sample in (first, second, first, second):
+        got = _the_four(sample)
+    assert len(calls) == 2 and calls[0] is first.covariates and calls[1] is second.covariates
+    fresh = moments._mean_components(Sample(x, 2.0 * x))
+    assert got[0] == fresh[1] and got[1].mean == fresh[1] and got[2] == fresh[2] and got[1].moments == fresh[0]
+
+
+def test_degenerate_sample_raises_on_every_call(monkeypatch):
+    calls = _spy_moment_pass(monkeypatch)
+    sample = Sample([3.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
+    for call in (complex_mean, complex_variance, slope, imaginary_standard_error) * 2:
+        with pytest.raises(DegenerateCovariates):
+            call(sample)
+    assert len(calls) == 8
