@@ -19,7 +19,11 @@ would draw an OS-entropy seed that its key then overrides.
 The driver keeps no complex array the size of the run: the errors are an
 (R, 2) real array of their real and imaginary parts, each block's rows are
 one real BLAS product ``noise @ [Re w, Im w]``, and the second moments
-come from dot products of the two columns.
+come from dot products of the two columns.  Each block's offset and the
+centring by the means go one column at a time: an (R, 2) array broadcast
+against a pair runs numpy's inner loop two entries long, several times
+slower than one strided pass down each column, which makes the same single
+addition or subtraction on every entry.
 
 Since each block has its own generator and its own rows of the errors, the
 blocks are filled concurrently (numpy's generators and BLAS release the GIL
@@ -194,9 +198,13 @@ def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
         noise = rng.standard_normal(shape)
         noise *= config.sigma  # in place: the same bits as sigma * noise
         return noise
-    # Uniform on [-a, a] with a = sigma*sqrt(3) has variance sigma^2.
+    # Uniform on [-a, a) with a = sigma*sqrt(3) has variance sigma^2: -a + 2a·u, the bits of
+    # rng.uniform(-a, a), which raises OverflowError once 2a overflows; here the draws overflow.
     half_width = config.sigma * np.sqrt(3.0)
-    return rng.uniform(-half_width, half_width, shape)
+    noise = rng.random(shape)
+    noise *= 2.0 * half_width
+    noise -= half_width
+    return noise
 
 
 def _fill_workers(blocks: int) -> int:
@@ -225,7 +233,11 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     columns, Re and Im, filled by one real product ``noise @ [Re w, Im w]``
     per block, and the second moments are dot products of the columns.
     They equal ``predict`` on ``simulate_process`` replicates up to
-    summation order.
+    summation order.  The offset and the centring run column by column, one
+    long strided pass each (see the module docstring).  Draws that overflow
+    give moments that are not finite, with numpy's overflow warning: uniform
+    draws -a + 2a·u overflow once 2a = 2σ√3 does (σ above ~5.2e307), where
+    ``Generator.uniform`` would raise ``OverflowError``.
 
     The blocks are filled concurrently: the calling thread and up to
     ``_fill_workers(blocks) - 1`` started threads take block starts from one
@@ -247,7 +259,8 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     def fill(start):
         rows = errors[start : start + BLOCK]
         np.dot(_block_noise(config, start // BLOCK, len(rows)), w, out=rows)
-        rows += (offset.real, offset.imag)
+        rows[:, 0] += offset.real
+        rows[:, 1] += offset.imag
 
     block_starts = range(0, replicates, BLOCK)
     starts = iter(block_starts)
@@ -292,7 +305,8 @@ def monte_carlo_mse(config: SimulationConfig, evaluation_point) -> MonteCarloRep
     # The 2×2 Gram matrices [[re·re, re·im], [re·im, im·im]] of the columns, then of the
     # columns centred in place.
     square = errors.T @ errors / replicates
-    errors -= (mean_re, mean_im)
+    errors[:, 0] -= mean_re
+    errors[:, 1] -= mean_im
     centred = errors.T @ errors / replicates
     return MonteCarloReport(
         mean_error_re=mean_re,

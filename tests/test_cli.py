@@ -419,6 +419,16 @@ class TestNonFiniteResults:
         assert out == ""
         assert err.splitlines() == ["error: result is not finite; it overflows double precision"]
 
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "table"])
+    @pytest.mark.parametrize("noise", ["gaussian", "uniform"])
+    def test_overflowing_noise_exits_2(self, capsys, noise, fmt):
+        # At this σ the uniform range 2σ√3 overflows, where numpy's Generator.uniform raises.
+        argv = ["simulate", "--noise", noise, "--sigma", "6e307", "--replicates", "100", *fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.splitlines() == ["error: result is not finite; it overflows double precision"]
+
     def test_rendering_rejects_non_finite(self):
         for value in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="not finite"):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,33 @@ def _assert_matches_loop(cfg, point, obs):
     assert abs(report.bilinear_mse - np.mean(errors * errors)) <= tol
 
 
+# repr of monte_carlo_mse away from the zero-variance point (covariates 1..11, beta (1e3, -2.5),
+# sigma 0.3, 3·BLOCK + 5 replicates, seed 20261019), taken when each block's offset and the
+# centring were broadcast against a pair rather than applied column by column.
+_OFF_ROOT_REPRS = {
+    (4.6, "gaussian"): (
+        "MonteCarloReport(mean_error_re=2.5100314859848125e-06, mean_error_im=0.0, "
+        "var_re=0.009720028736122061, var_im=0.0, cov_re_im=0.0, "
+        "bilinear_mse=(0.00972002874242232+0j), replicates_used=12293)"
+    ),
+    (4.6, "uniform"): (
+        "MonteCarloReport(mean_error_re=-9.476275308282021e-05, mean_error_im=0.0, "
+        "var_re=0.009899615975131707, var_im=0.0, cov_re_im=0.0, "
+        "bilinear_mse=(0.009899624955111081+0j), replicates_used=12293)"
+    ),
+    (6 + 1j, "gaussian"): (
+        "MonteCarloReport(mean_error_re=-0.00012855094293455358, mean_error_im=-9.361498201298281e-05, "
+        "var_re=0.008228563467508231, var_im=0.0008188502115967238, cov_re_im=4.0528980755622645e-05, "
+        "bilinear_mse=(0.0074097210174915796+8.108203009966647e-05j), replicates_used=12293)"
+    ),
+    (6 + 1j, "uniform"): (
+        "MonteCarloReport(mean_error_re=4.676411863502665e-06, mean_error_im=7.10279746776327e-05, "
+        "var_re=0.008235694538413031, var_im=0.0008293116416417082, cov_re_im=-1.3739506821762047e-05, "
+        "bilinear_mse=(0.00740637787366696-2.7478349331397255e-05j), replicates_used=12293)"
+    ),
+}
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_batched_matches_per_replicate_loop(self, noise_kind):
@@ -436,6 +464,31 @@ class TestMonteCarlo:
             if abs(report.mean_error_re) <= bound_re and abs(report.mean_error_im) <= bound_im:
                 hits += 1
         assert hits >= math.ceil(0.95 * runs)
+
+    @pytest.mark.parametrize("point,noise_kind", list(_OFF_ROOT_REPRS))
+    def test_report_away_from_the_root_is_pinned(self, point, noise_kind):
+        # Off the zero-variance point, with a large intercept, each block's offset w·Fβ − f·β
+        # is roundoff but not zero, and the means are not zero either; four blocks, the last
+        # a part block.  A swapped offset or mean column moves the report.
+        cfg = SimulationConfig(
+            covariates=tuple(float(i) for i in range(1, 12)), beta=(1e3, -2.5), sigma=0.3,
+            replicates=3 * BLOCK + 5, seed=20261019, noise_kind=noise_kind,
+        )
+        assert repr(monte_carlo_mse(cfg, point)) == _OFF_ROOT_REPRS[point, noise_kind]
+
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    def test_overflowing_draws_give_a_non_finite_report(self, noise_kind):
+        # 2σ√3 overflows at this σ; Generator.uniform would raise OverflowError on it.
+        cfg = SimulationConfig(
+            covariates=tuple(float(i) for i in range(1, 12)), beta=(1.0, 0.5), sigma=6e307,
+            replicates=100, seed=7, noise_kind=noise_kind,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = monte_carlo_mse(cfg, zero_variance_points(cfg.covariates).plus)
+        assert any("overflow" in str(w.message) for w in caught if w.category is RuntimeWarning)
+        assert report.replicates_used == 100
+        assert not any(map(math.isfinite, (report.var_re, report.var_im, report.cov_re_im)))
 
 
 # repr of the acceptance run (covariates 1..11, beta (1, 0.5), sigma 1, 10^5 replicates, at the
