@@ -9,12 +9,13 @@ least-squares trend coefficients, and the trend variance all come out of one
 small SPD system built from the design matrix.  Under white noise that
 system's matrix F'F depends on the design alone, so a ``DesignMatrix`` forms
 and factors it once and each query only substitutes; a degenerate design
-raises, and an ill-conditioned one warns, on every query.  A dense correlation
-matrix Λ has its Gram matrix factored once per call, and the last Λ⁻¹F is
-kept next to a private copy of Λ and the design's own F, so a caller that
-repeats one Λ and F at many points has Λ scanned and solved on its first
-call only; a repeat is confirmed by comparing every entry's bits with the
-kept ones, and the copy of Λ holds n²·8 bytes until another Λ arrives.
+raises, and an ill-conditioned one warns, on every query.  Both noise kinds
+query one kept system, (Λ⁻¹F, factor of F'Λ⁻¹F, equilibrated condition).  For
+a dense correlation matrix Λ the last system is kept next to a private copy
+of Λ and the design's own F, so a caller that repeats one Λ and F at many
+points has Λ scanned and solved, and its Gram matrix formed and factored, on
+its first call only; a repeat is confirmed by comparing every entry's bits
+with the kept ones, and the copy of Λ holds n²·8 bytes until another Λ arrives.
 
 Evaluation points may be complex.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
@@ -127,14 +128,14 @@ class DesignMatrix:
 
     ``F`` must be a finite, non-empty real matrix.  The design keeps a
     private read-only float copy of it, so writes to the caller's array reach
-    neither the design nor its white-noise Gram matrix F'F, which is formed
-    and factored on the first white-noise query and reused by every later one.
+    neither the design nor its white-noise system: the factor of F'F, formed
+    on the first white-noise query and reused by every later one.
     """
 
     F: np.ndarray
 
     def __post_init__(self):
-        # A private copy, as Sample keeps: the cached Gram matrix must not go stale.
+        # A private copy, as Sample keeps: the cached Gram factor must not go stale.
         F = _real_array(np.array(self.F), "design matrix")
         if F.ndim != 2 or F.size == 0:
             raise ValueError(f"design matrix must be a non-empty n-by-k matrix, got shape {F.shape}")
@@ -151,17 +152,10 @@ class DesignMatrix:
         return design
 
     @cached_property
-    def _white_gram(self) -> np.ndarray:
-        """F'F, symmetrized and read-only: the Gram matrix of every white-noise query."""
-        gram = _gram(self.F, self.F)
-        gram.flags.writeable = False
-        return gram
-
-    @cached_property
-    def _white_factor(self):
-        """(factor, equilibrated condition) of ``_white_gram``, re-reported on every query; a degenerate
-        design raises on each query (a raise caches nothing)."""
-        return _gram_factor(self._white_gram)
+    def _white_system(self):
+        """(F, factor of F'F, equilibrated condition): the system of every white-noise query, whose
+        condition is re-reported on each; a degenerate design raises on each (a raise caches nothing)."""
+        return (self.F, *_gram_factor(self.F, self.F))
 
     @property
     def n(self) -> int:
@@ -343,44 +337,45 @@ def _gram(F: np.ndarray, lam_inv_F: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
-def _whitened_design(design: DesignMatrix, corr) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Λ⁻¹F, F'Λ⁻¹F).  ``corr=None`` is white noise: (F, the design's
-    once-formed read-only Gram matrix).  A dense Λ has its shape and diagonal
-    checked and its Gram matrix formed on every call, and never touches the
-    cached one.
+def _whitened_design(design: DesignMatrix, corr):
+    """Return the trend system (Λ⁻¹F, factor of F'Λ⁻¹F, equilibrated condition), raising
+    ``DegenerateDesign`` for a rank-deficient design.  ``corr=None`` is white noise: the design's
+    own system, (F, the factor of F'F), formed and factored on its first query.  A dense Λ has
+    its shape and diagonal checked on every call, and never touches the design's system.
 
-    Kriging queries one Λ at many points, so every dense solve keeps its
-    Λ⁻¹F, read-only, next to a private read-only copy of Λ and the design's
-    F (itself private and read-only): each later call with the same entries
-    is neither scanned nor solved again.  A repeat is confirmed by comparing
-    the bits of every entry (0.0 and -0.0 differ), in blocks of rows, with no
-    temporary of Λ's size; equal entries in any memory order share the kept
-    Λ⁻¹F, as ``solve_spd`` gives them the same bits.  The first call copies Λ
-    after its solve (~3 ms at n = 2000), and the copy holds n²·8 bytes (32 MB
-    at n = 2000) until a call with another Λ releases it before it solves.
-    A failing Λ raises before anything is kept."""
+    Kriging queries one Λ at many points, so every dense system is kept: Λ⁻¹F, read-only, and
+    the factor and condition of its Gram matrix, next to a private read-only copy of Λ and the
+    design's F (itself private and read-only).  Each later call with the same entries is neither
+    scanned, solved, formed nor factored again.  A repeat is confirmed by comparing the bits of
+    every entry (0.0 and -0.0 differ), in blocks of rows, with no temporary of Λ's size; equal
+    entries in any memory order share the kept system, as ``solve_spd`` gives them the same bits.
+    The first call copies Λ after its solve (~3 ms at n = 2000), and the copy holds n²·8 bytes
+    (32 MB at n = 2000) until a call with another Λ releases it before it solves.  A failing Λ,
+    or a degenerate design, raises before anything is kept."""
     global _LAST_WHITENING
     if corr is None:
-        return design.F, design._white_gram
+        return design._white_system
     lam = _check_correlation(corr, design.n)
     F = design.F
     kept = _LAST_WHITENING
     if kept is not None and _same_bits(kept[0], lam) and _same_bits(kept[1], F):
-        return kept[2], _gram(F, kept[2])
+        return kept[2:]
     # Released before the solve, so that the old copy and LAPACK's factor are never held at once.
     kept = _LAST_WHITENING = None
     lam_inv_F = solve_spd(lam, F)
     # Kept without a copy: callers receive only new arrays made from it.
     lam_inv_F.flags.writeable = False
+    system = (lam_inv_F, *_gram_factor(F, lam_inv_F))
     lam_copy = np.array(lam)  # order "K": an F-ordered Λ is copied, and later compared, along its memory
     lam_copy.flags.writeable = False
-    # One tuple, assigned whole, so threads need no lock: a race loses a kept Λ⁻¹F, and never
+    # One tuple, assigned whole, so threads need no lock: a race loses a kept system, and never
     # pairs one system's Λ and F with another's solution.
-    _LAST_WHITENING = (lam_copy, F, lam_inv_F)
-    return lam_inv_F, _gram(F, lam_inv_F)
+    _LAST_WHITENING = (lam_copy, F, *system)
+    return system
 
 
-# None, or (read-only copy of Λ, the design's F, read-only Λ⁻¹F) of the last dense whitening.
+# None, or (read-only copy of Λ, the design's F, read-only Λ⁻¹F, factor of F'Λ⁻¹F, its equilibrated
+# condition) of the last dense whitening.
 _LAST_WHITENING = None
 # Entries per block of rows that ``_same_bits`` compares: 512 KB of each matrix at a time.
 _COMPARED_ENTRIES = 1 << 16
@@ -397,7 +392,9 @@ def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
     return all(np.array_equal(kept[i : i + rows], x[i : i + rows]) for i in range(0, x.shape[0], rows))
 
 
-def _gram_factor(gram: np.ndarray):
+def _gram_factor(F: np.ndarray, lam_inv_F: np.ndarray):
+    """(factor, equilibrated condition) of the Gram matrix F'Λ⁻¹F, the one place that forms and factors it."""
+    gram = _gram(F, lam_inv_F)
     # A symmetrized Gram matrix fails the factorization on a pivot or on overflowed entries: both degenerate.
     try:
         factor = _cholesky(gram)
@@ -443,10 +440,8 @@ def gls_beta(design: DesignMatrix, corr, obs) -> np.ndarray:
         When the Gram matrix is numerically singular, e.g. a linear trend
         with all covariates equal, or fewer observations than coefficients.
     """
-    lam_inv_F, gram = _whitened_design(design, corr)
-    rhs = _weigh_observations(lam_inv_F.T, obs)
-    factor, cond = design._white_factor if corr is None else _gram_factor(gram)
-    beta = _substitute(factor, rhs)
+    lam_inv_F, factor, cond = _whitened_design(design, corr)
+    beta = _substitute(factor, _weigh_observations(lam_inv_F.T, obs))
     _warn_if_ill_conditioned(cond)
     return beta
 
@@ -471,8 +466,7 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
         returned solution.
     """
     f = _feature_values(feature, design.k)
-    lam_inv_F, gram = _whitened_design(design, corr)
-    factor, cond = design._white_factor if corr is None else _gram_factor(gram)
+    lam_inv_F, factor, cond = _whitened_design(design, corr)
 
     gram_inv_f = _substitute(factor, f)
     _warn_if_ill_conditioned(cond)

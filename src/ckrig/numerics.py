@@ -16,12 +16,12 @@ plus branch and derives the minus branch as its conjugate.
 
 ``solve_spd`` keeps nothing between calls.  It is a factor step, ``_cholesky``,
 then a substitution step, ``_substitute``: ``kriging`` keeps each design's
-white-noise Gram factor, and the Λ⁻¹F that its dense queries repeat.  Both
-paths read the lower triangle, and both add the relative pivot guard that
-LAPACK lacks.  The package's one rule for a matrix's entries,
+white-noise Gram factor, and the Λ⁻¹F and Gram factor that its dense queries
+repeat.  Both paths read the lower triangle, and both add the relative pivot
+guard that LAPACK lacks.  The package's one rule for a matrix's entries,
 ``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``), lives here
-too; it scans matrices of order > 2 in square tiles, so it makes no temporary
-of the matrix's size.
+too; it scans a matrix in square tiles, so it makes no temporary of the
+matrix's size.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ SYMMETRY_RTOL = 1e-12
 # A Cholesky pivot at or below this fraction of its own diagonal entry is treated
 # as degenerate (not positive definite); the ratio does not move when a column is rescaled.
 PIVOT_RTOL = 1e-14
-# Edge of the square tiles in which ``check_symmetric`` scans matrices of order > 2.
+# Edge of the square tiles in which ``check_symmetric`` scans a matrix.
 _TILE = 128
 # Largest order that ``solve_spd`` factors in Python floats, without importing scipy.
 # The loop takes ~0.06 ms at order 11 and ~2.6 ms at order 64 (~0.07 and ~2.7 ms for two
@@ -68,33 +68,25 @@ class ConjugatePair:
 def check_symmetric(a: np.ndarray) -> None:
     """Raise ValueError unless square ``a`` is finite and max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a|.
 
-    Orders 1 and 2 are decided from their entries.  Larger matrices are
-    scanned in ``_TILE``-square tiles, each upper tile ``a[I, J]`` against
-    ``a[J, I]ᵀ`` with both scales in the same pass, so the scan makes no
-    temporary larger than a tile; a non-finite scale raises before the
-    tiles are subtracted.
+    The matrix is scanned in ``_TILE``-square tiles, each upper tile
+    ``a[I, J]`` against ``a[J, I]ᵀ`` with both scales in the same pass, so
+    the scan makes no temporary larger than a tile; a non-finite scale
+    raises before the tiles are subtracted.
     """
     n = a.shape[0]
-    if n <= 2:
-        entries = a.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
-            raise _not_finite()
-        diff = abs(entries[1] - entries[2]) if n == 2 else 0.0
-        scale = max(map(abs, entries))
-    else:
-        diff = scale = 0.0
-        for i in range(0, n, _TILE):
-            for j in range(i, n, _TILE):
-                upper = a[i : i + _TILE, j : j + _TILE]
-                lower = a[j : j + _TILE, i : i + _TILE].T
-                tile_scale = np.max(np.abs(upper))
-                if j > i:
-                    # np.maximum keeps a NaN in either place; Python's max drops it in the second.
-                    tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
-                if not np.isfinite(tile_scale):
-                    raise _not_finite()
-                scale = max(scale, float(tile_scale))
-                diff = max(diff, float(np.max(np.abs(upper - lower))))
+    diff = scale = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = a[i : i + _TILE, j : j + _TILE]
+            lower = a[j : j + _TILE, i : i + _TILE].T
+            tile_scale = np.max(np.abs(upper))
+            if j > i:
+                # np.maximum keeps a NaN in either place; Python's max drops it in the second.
+                tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
+            if not np.isfinite(tile_scale):
+                raise _not_finite()
+            scale = max(scale, float(tile_scale))
+            diff = max(diff, float(np.max(np.abs(upper - lower))))
     if diff > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
 

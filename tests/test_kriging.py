@@ -178,11 +178,13 @@ class TestDesignMatrixOwnership:
     def test_cached_gram_is_symmetrized_f_t_f_and_read_only(self):
         d = build_design(TrendBasis.linear(), EXAMPLE_X)
         kriging_weights(d, None, [1.0, 4.6])
-        gram = d._white_gram
+        F, (lower, recip), _ = d._white_system
         raw = d.F.T @ d.F
-        assert _same_bits(gram, 0.5 * (raw + raw.T))
+        want_lower, want_recip = numerics._cholesky(0.5 * (raw + raw.T))
+        assert _same_bits(sum(lower, []), sum(want_lower, [])) and _same_bits(recip, want_recip)
+        assert F is d.F
         with pytest.raises(ValueError):
-            gram[0, 0] = 0.0
+            F[0, 0] = 0.0
 
 
 class TestFeatureVector:
@@ -526,8 +528,8 @@ def test_dense_query_never_forms_white_gram(call, monkeypatch):
             gls_beta(d, lam, EXAMPLE_Y)
         else:
             kriging_weights(d, lam, [1.0, 4.6], obs=EXAMPLE_Y)
-    assert calls == [False, False, False]
-    assert "_white_gram" not in vars(d)
+        assert calls == [False]  # a repeat takes the kept system and forms no Gram matrix
+    assert "_white_system" not in vars(d)
 
 
 def _spy_gram_factor(monkeypatch):
@@ -566,13 +568,13 @@ def test_dense_query_factors_its_gram_once(call, monkeypatch):
     orders = _spy_gram_factor(monkeypatch)
     d = build_design(TrendBasis.linear(), EXAMPLE_X)
     lam = _random_correlation(np.random.default_rng(3), 11)
-    for calls in range(1, 4):
+    for _ in range(3):
         if call == "gls_beta":
             gls_beta(d, lam, EXAMPLE_Y)
         else:
             kriging_weights(d, lam, [1.0, 4.6 + 1.0j], obs=EXAMPLE_Y)
-        assert orders == [2] * calls
-    assert "_white_factor" not in vars(d)
+        assert orders == [2]  # a repeat takes the kept factor
+    assert "_white_system" not in vars(d)
 
 
 def _solve_spd_reference(design, corr, f, obs):
@@ -827,6 +829,32 @@ def test_degenerate_design_raises_on_every_white_query():
             kriging_weights(d, None, [1.0, 3.0])
         with pytest.raises(DegenerateDesign):
             gls_beta(d, None, [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_gram_warning_on_every_dense_query():
+    # The dense twin of the white test: the kept system re-reports its condition on every hit.
+    d = build_design(TrendBasis.linear(), np.array(EXAMPLE_X) + 1e6)
+    lam = _random_correlation(np.random.default_rng(3), 11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            kriging_weights(d, lam, [1.0, 1e6 + 4.6], obs=EXAMPLE_Y)
+            gls_beta(d, lam, EXAMPLE_Y)
+    assert [w.category for w in caught] == [GramConditionWarning] * 6
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["white", "dense"])
+def test_degenerate_design_raises_before_observations_are_read(dense):
+    # Two observations for five covariates: the degenerate design is what both calls report,
+    # and a degenerate dense system is not kept.
+    d = build_design(TrendBasis.linear(), [3.0] * 5)
+    corr = _random_correlation(np.random.default_rng(5), 5) if dense else None
+    for _ in range(3):
+        with pytest.raises(DegenerateDesign):
+            gls_beta(d, corr, [1.0, 2.0])
+        with pytest.raises(DegenerateDesign):
+            kriging_weights(d, corr, [1.0, 3.0], obs=[1.0, 2.0])
+    assert kriging._LAST_WHITENING is None
 
 
 @pytest.mark.parametrize("kind", ["asymmetric", "nan", "non-unit-diagonal"])
