@@ -324,10 +324,15 @@ def _check_correlation(corr, n: int) -> np.ndarray:
 
 def _real_matrix_times(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Λω for a real Λ, formed from Re ω and Im ω: Λ @ ω with a complex ω would cast Λ to an
-    n×n complex temporary."""
-    product = lam @ w.real
+    n×n complex temporary.  Each product runs in numpy's own einsum loop, not BLAS: numpy's
+    OpenBLAS threads spin for a while after a ``dgemv``, and that halved the speed of scipy's
+    own OpenBLAS in the next dense factorization.  The loop sets no floating-point flag, so an
+    overflow is warned of here; every caller has checked that Λ is finite."""
+    product = np.einsum("ij,j->i", lam, np.ascontiguousarray(w.real))
     if np.iscomplexobj(w):
-        product = product + 1j * (lam @ w.imag)
+        product = product + 1j * np.einsum("ij,j->i", lam, np.ascontiguousarray(w.imag))
+    if not np.isfinite(product).all() and np.isfinite(w).all():
+        warnings.warn("overflow encountered in the correlation product Λω", RuntimeWarning, stacklevel=3)
     return product
 
 

@@ -8,11 +8,13 @@ plus branch and derives the minus branch as its conjugate.
 
 - k <= ``_SMALL_ORDER`` (trend Gram matrices, a ``columns`` basis, a ``--lambda``
   file over a few dozen rows): a row-by-row Cholesky in Python floats, a few
-  microseconds at k <= 2, sparing the ~360 ms import of ``scipy.linalg``; the
-  golden CLI output pins its bits at k <= 2;
+  microseconds at k <= 2, sparing the 220–310 ms import of ``scipy.linalg``;
+  the golden CLI output pins its bits at k <= 2;
 - larger k (a dense Λ): LAPACK (``dpotrf``/``dpotrs``), the only path that
   imports scipy, whose blocked factorization the loop cannot approach at large
-  k (and numpy has no triangular solve).
+  k (and numpy has no triangular solve).  It runs in scipy's own OpenBLAS
+  (0.3.30 in scipy 1.17.1), not numpy's (0.3.31 in numpy 2.4.6); each library
+  has its own threads.
 
 ``solve_spd`` keeps nothing between calls.  It is a factor step, ``_cholesky``,
 then a substitution step, ``_substitute``: ``kriging`` keeps each design's
@@ -41,7 +43,7 @@ _TILE = 128
 # Largest order that ``solve_spd`` factors in Python floats, without importing scipy.
 # The loop takes ~0.06 ms at order 11 and ~2.6 ms at order 64 (~0.07 and ~2.7 ms for two
 # right-hand-side columns) against ~0.02 and ~0.05 ms for LAPACK with scipy loaded, far
-# below the ~360 ms import it avoids; above it LAPACK's speed matters more than the import.
+# below the 220–310 ms import it avoids; above it LAPACK's speed matters more than the import.
 _SMALL_ORDER = 64
 
 

@@ -455,12 +455,13 @@ class TestVariances:
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
-def test_prediction_error_keeps_the_correlation_real():
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_prediction_error_keeps_the_correlation_real(order):
     # A complex ω meets the real Λ as Λ·Re ω and Λ·Im ω; Λ @ ω would cast Λ to an n×n
     # complex temporary (16 MB at n = 1000).
     n = 1000
     design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
-    lam = _random_correlation(np.random.default_rng(12), n)
+    lam = np.asarray(_random_correlation(np.random.default_rng(12), n), order=order)
     solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 0.5 + 0.3j))
     tracemalloc.start()
     try:
@@ -472,6 +473,33 @@ def test_prediction_error_keeps_the_correlation_real():
     w = solution.weights
     expected = 2.5 * (1.0 + np.dot(w, lam.astype(complex) @ w))
     assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_correlation_product_against_exact_sums(layout, kind):
+    # Each row of Λω against math.fsum of its products, within n·eps of the sum of their sizes.
+    n = 300
+    rng = np.random.default_rng(27)
+    lam = _random_correlation(rng, n)
+    lam = {"C": lam, "F": np.asfortranarray(lam), "strided": _random_correlation(rng, 2 * n)[::2, ::2]}[layout]
+    w = rng.standard_normal(n)
+    if kind is complex:
+        w = w + 1j * rng.standard_normal(n)
+    got = kriging._real_matrix_times(lam, w)
+    assert got.shape == (n,) and np.iscomplexobj(got) == (kind is complex)
+    eps = np.finfo(float).eps
+    for part, got_part in ((w.real, got.real), (w.imag, got.imag)) if kind is complex else ((w, got),):
+        for i in range(n):
+            products = (lam[i] * part).tolist()
+            assert abs(got_part[i] - math.fsum(products)) <= n * eps * math.fsum(map(abs, products))
+
+
+def test_prediction_error_warns_of_an_overflowing_correlation_product():
+    solution = kriging.KrigingSolution(weights=np.array([1e308, 1e308]), multipliers=np.zeros(2), variance_factor=0j)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = prediction_error_variance(solution, [[1.0, 0.9], [0.9, 1.0]])
+    assert got == complex(math.inf, 0.0)
 
 
 @pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
