@@ -15,7 +15,8 @@ a dense correlation matrix Λ the last system is kept next to a private copy
 of Λ and the design's own F, so a caller that repeats one Λ and F at many
 points has Λ scanned and solved, and its Gram matrix formed and factored, on
 its first call only; a repeat is confirmed by comparing every entry's bits
-with the kept ones, and the copy of Λ holds n²·8 bytes until another Λ arrives.
+with the kept ones (one C ``memcmp`` when both lie in one memory order), and
+the copy of Λ holds n²·8 bytes until another Λ arrives.
 
 Evaluation points may be complex.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
@@ -29,6 +30,7 @@ import cmath
 import math
 import numbers
 import operator
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -352,8 +354,9 @@ def _whitened_design(design: DesignMatrix, corr):
     the factor and condition of its Gram matrix, next to a private read-only copy of Λ and the
     design's F (itself private and read-only).  Each later call with the same entries is neither
     scanned, solved, formed nor factored again.  A repeat is confirmed by comparing the bits of
-    every entry (0.0 and -0.0 differ), in blocks of rows, with no temporary of Λ's size; equal
-    entries in any memory order share the kept system, as ``solve_spd`` gives them the same bits.
+    every entry (0.0 and -0.0 differ), with no temporary of Λ's size: one ``memcmp`` of Λ's memory
+    when Λ and the copy are contiguous in one order, else in blocks of rows.  Equal entries in any
+    memory order share the kept system, as ``solve_spd`` gives them the same bits.
     The first call copies Λ after its solve (~3 ms at n = 2000), and the copy holds n²·8 bytes
     (32 MB at n = 2000) until a call with another Λ releases it before it solves.  A failing Λ,
     or a degenerate design, raises before anything is kept."""
@@ -386,12 +389,25 @@ _LAST_WHITENING = None
 _COMPARED_ENTRIES = 1 << 16
 
 
+# The C library's memcmp, bound once; None where it cannot be, and ``_same_bits`` compares in numpy.
+try:
+    import ctypes
+    _memcmp = (ctypes.cdll.msvcrt if os.name == "nt" else ctypes.CDLL(None)).memcmp
+    _memcmp.argtypes, _memcmp.restype = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t), ctypes.c_int
+except (ImportError, OSError, AttributeError, TypeError):
+    _memcmp = None
+
+
 def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
-    """Whether float64 matrix ``x`` has ``kept``'s shape and the bits of each of its entries."""
+    """Whether float64 matrix ``x`` has ``kept``'s shape and the bits of each of its entries.
+    Two matrices contiguous in one memory order are compared by ``memcmp``, at memory speed;
+    a strided or mixed-order pair, or a platform without the binding, in uint64 row blocks."""
     if kept.shape != x.shape:
         return False
     if x.flags.f_contiguous and not x.flags.c_contiguous:
         kept, x = kept.T, x.T  # blocks of x's rows would be strided: walk its memory instead
+    if _memcmp is not None and kept.flags.c_contiguous and x.flags.c_contiguous:
+        return _memcmp(kept.ctypes.data, x.ctypes.data, x.nbytes) == 0
     kept, x = kept.view(np.uint64), x.view(np.uint64)
     rows = max(1, _COMPARED_ENTRIES // x.shape[1])
     return all(np.array_equal(kept[i : i + rows], x[i : i + rows]) for i in range(0, x.shape[0], rows))

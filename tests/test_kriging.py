@@ -839,6 +839,63 @@ class TestWhitenedDesignSlot:
         assert _same_bits(got, first) and _same_bits(got, self._slot_free(x, lam))
 
 
+def _in_layout(a, layout):
+    """A new writable matrix with ``a``'s entries: C- or F-ordered, every other row and column of
+    a larger matrix, or walked backwards along both axes."""
+    if layout in ("C", "F"):
+        return np.array(a, order=layout)
+    if layout == "strided":
+        big = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+        big[::2, ::2] = a
+        return big[::2, ::2]
+    return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+
+
+_LAYOUT_PAIRS = [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C"), ("C", "strided"), ("C", "reversed")]
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["memcmp", "numpy"])
+@pytest.mark.parametrize("kept_as, asked_as", _LAYOUT_PAIRS)
+def test_same_bits_decision_table(kept_as, asked_as, bound, monkeypatch):
+    # The same answers with and without the C library's memcmp.
+    if not bound:
+        monkeypatch.setattr(kriging, "_memcmp", None)
+    a = np.random.default_rng(7).uniform(-1.0, 1.0, size=(7, 5))
+    a[3, 2] = 0.0
+    kept = _in_layout(a, kept_as)
+    assert kriging._same_bits(kept, _in_layout(a, asked_as))
+    for at in [(0, 0), (3, 2), (6, 4)]:
+        edited = _in_layout(a, asked_as)
+        edited[at] = np.nextafter(edited[at], np.inf)
+        assert not kriging._same_bits(kept, edited)
+    signed = _in_layout(a, asked_as)
+    signed[3, 2] = -0.0
+    assert not kriging._same_bits(kept, signed)
+    # The same bytes in another shape.
+    assert not kriging._same_bits(kept, kept.T)
+    assert not kriging._same_bits(kept, np.ascontiguousarray(a).reshape(5, 7))
+    assert not kriging._same_bits(kept, _in_layout(a, asked_as)[:, :-1])
+
+
+@pytest.mark.parametrize("kept_as, asked_as", _LAYOUT_PAIRS)
+def test_same_bits_takes_memcmp_for_a_lambda_in_one_memory_order(kept_as, asked_as, monkeypatch):
+    # A hit in one memory order compares Λ by memcmp; a strided or mixed-order Λ by numpy, and still hits.
+    n = 200
+    x, lam = TestWhitenedDesignSlot._case(n)
+    TestWhitenedDesignSlot._query(x, _in_layout(lam, kept_as), 0)
+    compared = []
+    memcmp = kriging._memcmp
+    assert memcmp is not None, "the C library's memcmp is not bound"
+    monkeypatch.setattr(kriging, "_memcmp", lambda a, b, size: compared.append(size) or memcmp(a, b, size))
+    solves = TestWhitenedDesignSlot._spy(monkeypatch, kriging, "solve_spd", n)
+    got = TestWhitenedDesignSlot._query(x, _in_layout(lam, asked_as), 1)
+    assert solves == []
+    assert compared.count(n * n * 8) == (kept_as == asked_as)
+    monkeypatch.undo()
+    kriging._LAST_WHITENING = None
+    assert _same_bits(got, TestWhitenedDesignSlot._query(x, lam, 1))
+
+
 def test_gram_warning_on_every_white_query():
     # Shifted covariates: the equilibrated Gram condition is ~1e12.
     d = build_design(TrendBasis.linear(), np.array(EXAMPLE_X) + 1e6)
