@@ -18,7 +18,9 @@ its first call only; a repeat is confirmed by comparing every entry's bits
 with the kept ones (one C ``memcmp`` when both lie in one memory order), and
 the copy of Λ holds n²·8 bytes until another Λ arrives.
 
-Evaluation points may be complex.  Every quadratic form in this module is
+Evaluation points may be complex.  A complex point's weights, the real Λ⁻¹F times a complex
+vector, are formed in blocks of rows through one reused complex buffer, with the bits of the
+plain product and no n×k complex copy of the system.  Every quadratic form in this module is
 bilinear (plain transposition, no conjugation): that is the analytic
 continuation under which the trend variance has complex roots, and it is
 deliberate.  A Hermitian form would be strictly positive at those roots.
@@ -338,6 +340,27 @@ def _real_matrix_times(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return product
 
 
+# Rows per block of a complex-point product: 512 KB of complex buffer at k = 2 (measured).
+_PRODUCT_ROWS = 1 << 14
+
+
+def _system_times(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``A @ g``, bit for bit, for the real n×k kept system A; for a complex g, with no n×k complex
+    copy of A.  Blocks of R rows are cast into one reused C-ordered buffer, as numpy's own cast is,
+    and run the same ``zgemv``.  The last block takes the remainder (R to 2R − 1 rows): a one-row
+    block takes numpy's dot path, whose bits differ at k ≥ 3.  Under 2R rows it is ``A @ g``."""
+    n, R = A.shape[0], _PRODUCT_ROWS
+    if g.dtype.kind != "c" or n < 2 * R:
+        return A @ g
+    out, buffer = np.empty(n, complex), np.empty((R + n % R, A.shape[1]), complex)
+    for start in range(0, n - n % R, R):
+        rows = slice(start, n if start + 2 * R > n else start + R)
+        block = buffer[: rows.stop - start]
+        block[...] = A[rows]
+        np.matmul(block, g, out=out[rows])
+    return out
+
+
 def _gram(F: np.ndarray, lam_inv_F: np.ndarray) -> np.ndarray:
     gram = F.T @ lam_inv_F
     # Symmetrize: the solve leaves roundoff-level asymmetry behind.
@@ -473,7 +496,8 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
     Closed form: weights Λ⁻¹F(F'Λ⁻¹F)⁻¹f, multipliers -(F'Λ⁻¹F)⁻¹f, and the
     variance factor f'(F'Λ⁻¹F)⁻¹f evaluated bilinearly.  The feature vector
     may be complex, in which case weights and multipliers are complex and the
-    prediction is the analytic continuation of the real predictor.
+    prediction is the analytic continuation of the real predictor; complex
+    weights are formed in blocks of rows, with no complex copy of the system.
 
     Parameters
     ----------
@@ -491,7 +515,7 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
 
     gram_inv_f = _substitute(factor, f)
     _warn_if_ill_conditioned(cond)
-    weights = lam_inv_F @ gram_inv_f
+    weights = _system_times(lam_inv_F, gram_inv_f)
     multipliers = -gram_inv_f
     variance_factor = complex(f @ gram_inv_f)
 

@@ -157,11 +157,13 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     design = build_design(basis, sample.covariates)
     solution = kriging_weights(design, None, feature_vector(basis, mom.zero_variance_points.plus))
     v = sample.observations
-    v2 = v * v
+    # v² in the real half of a complex array: the complex dot reads it with no cast of its own.
+    v2 = np.zeros(v.size, complex)
+    np.multiply(v, v, out=v2.real)
     return ComplexMoments(
         mean=mean,
         weighted_square=ConjugatePair(complex(np.dot(solution.weights, v2))),
-        real_se=_standard_error(v, v2),
+        real_se=_standard_error(v, v2.real),
         moments=mom,
         slope=a_hat,
     )

@@ -638,6 +638,43 @@ def test_kept_factor_matches_solve_spd_bitwise(n, k, shift):
                     assert _same_bits(gls_beta(d, corr, y), want[3])
 
 
+@pytest.mark.parametrize("rows", [2, 3, 5])
+def test_blocked_system_product_has_the_bits_of_the_plain_product(rows, monkeypatch):
+    # A complex point's weights are formed in blocks of `rows` rows, the last one taking the
+    # remainder; each block must run numpy's own product on its rows, so the two compare equal on
+    # any BLAS kernel.  A C-ordered white F and an F-ordered Λ⁻¹F, as solve_spd returns above
+    # order 64; entries and g of mixed magnitudes.
+    monkeypatch.setattr(kriging, "_PRODUCT_ROWS", rows)
+    rng = np.random.default_rng(rows)
+    for n in range(rows - 1, 3 * rows + 2):
+        for k in range(1, 6):
+            A = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-6, 7, (n, k))
+            g = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)
+            for system in (A, np.asfortranarray(A)):
+                for point in (g, g + 1j * rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)):
+                    assert _same_bits(kriging._system_times(system, point), system @ point), (n, k)
+
+
+@pytest.mark.parametrize("n", [11, 100_000])
+def test_complex_point_query_makes_no_complex_copy_of_the_system(n):
+    # A complex copy of F would take n·k·16 bytes; the real point's peak is its weights alone.
+    x = np.linspace(-4.0, 4.0, n)
+    y = np.sin(x)
+    design = build_design(TrendBasis.linear(), x)
+    for point in (0.5, 0.5 + 1.3j):
+        f = feature_vector(TrendBasis.linear(), point)
+        kriging_weights(design, None, f, obs=y)  # forms the design's Gram factor
+        tracemalloc.start()
+        try:
+            got = kriging_weights(design, None, f, obs=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_bits(got.weights, design.F @ -got.multipliers)
+        if n == 100_000:
+            assert peak < (n * design.k * 16 if isinstance(point, complex) else n * 8 + (1 << 16))
+
+
 @pytest.mark.parametrize("n", [11, 200])
 class TestWhitenedDesignSlot:
     """``_whitened_design`` keeps the last Λ⁻¹F by the bits of Λ and F, from the first call of one

@@ -410,6 +410,22 @@ def test_moment_bytes_are_pinned(n):
     assert hashlib.sha256(_moment_bytes(n)).hexdigest() == MOMENT_DIGESTS[n]
 
 
+@pytest.mark.parametrize("n", [11, 200, 1001, 100_003])
+def test_complex_variance_reads_the_bits_of_its_plain_sums(n):
+    # v² is written once into a complex array: the weighted square must keep the bits of the
+    # complex dot with the real v², and the standard error those of the contiguous mean.
+    rng = np.random.default_rng([29, n])
+    x = rng.uniform(-5.0, 5.0, n)
+    sample = Sample(x, 3.0 - 0.7 * x + rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n))
+    stats = complex_variance(sample)
+    basis = TrendBasis.linear()
+    point = feature_vector(basis, stats.moments.zero_variance_points.plus)
+    weights = kriging_weights(build_design(basis, x), None, point).weights
+    v = sample.observations
+    assert np.asarray(stats.weighted_square.plus).tobytes() == np.asarray(complex(np.dot(weights, v * v))).tobytes()
+    assert np.asarray(stats.real_se).tobytes() == np.asarray(real_standard_error(sample)).tobytes()
+
+
 def _spy_moment_pass(monkeypatch):
     """Record the Sample of each moment pass: a pass starts with the covariate moments."""
     calls = []
