@@ -15,8 +15,8 @@ a dense correlation matrix Λ the last system is kept next to a private copy
 of Λ and the design's own F, so a caller that repeats one Λ and F at many
 points has Λ scanned and solved, and its Gram matrix formed and factored, on
 its first call only; a repeat is confirmed by comparing every entry's bits
-with the kept ones (one C ``memcmp`` when both lie in one memory order), and
-the copy of Λ holds n²·8 bytes until another Λ arrives.
+with the kept ones (one C ``memcmp`` when Λ has the copy's strides, else one
+numpy compare), and the copy of Λ holds n²·8 bytes until another Λ arrives.
 
 Evaluation points may be complex.  A complex point's weights, the real Λ⁻¹F times a complex
 vector, are formed in blocks of rows through one reused complex buffer, with the bits of the
@@ -231,8 +231,11 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
 
 
 def _column_values(basis: TrendBasis, points) -> np.ndarray:
-    """A columns basis at real ``points``, one row per point; every value must be finite."""
-    F = np.column_stack([[float(fn(p)) for p in points] for fn in basis.functions])
+    """A columns basis at real ``points``, one row per point; every value must be one finite real
+    number, and text is not one (``numerics._real_array``)."""
+    F = _real_array([[fn(p) for fn in basis.functions] for p in points], "basis values")
+    if F.shape != (len(points), len(basis.functions)):
+        raise ValueError("each basis function must return one number")
     if not np.isfinite(F).all():
         raise ValueError("basis values must be finite")
     return F
@@ -377,9 +380,9 @@ def _whitened_design(design: DesignMatrix, corr):
     the factor and condition of its Gram matrix, next to a private read-only copy of Λ and the
     design's F (itself private and read-only).  Each later call with the same entries is neither
     scanned, solved, formed nor factored again.  A repeat is confirmed by comparing the bits of
-    every entry (0.0 and -0.0 differ), with no temporary of Λ's size: one ``memcmp`` of Λ's memory
-    when Λ and the copy are contiguous in one order, else in blocks of rows.  Equal entries in any
-    memory order share the kept system, as ``solve_spd`` gives them the same bits.
+    every entry (0.0 and -0.0 differ): one ``memcmp`` of Λ's memory when Λ has the copy's strides,
+    else one numpy compare, with a temporary of one byte per entry.  Equal entries in any memory
+    order share the kept system, as ``solve_spd`` gives them the same bits.
     The first call copies Λ after its solve (~3 ms at n = 2000), and the copy holds n²·8 bytes
     (32 MB at n = 2000) until a call with another Λ releases it before it solves.  A failing Λ,
     or a degenerate design, raises before anything is kept."""
@@ -408,8 +411,6 @@ def _whitened_design(design: DesignMatrix, corr):
 # None, or (read-only copy of Λ, the design's F, read-only Λ⁻¹F, factor of F'Λ⁻¹F, its equilibrated
 # condition) of the last dense whitening.
 _LAST_WHITENING = None
-# Entries per block of rows that ``_same_bits`` compares: 512 KB of each matrix at a time.
-_COMPARED_ENTRIES = 1 << 16
 
 
 # The C library's memcmp, bound once; None where it cannot be, and ``_same_bits`` compares in numpy.
@@ -422,18 +423,14 @@ except (ImportError, OSError, AttributeError, TypeError):
 
 
 def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
-    """Whether float64 matrix ``x`` has ``kept``'s shape and the bits of each of its entries.
-    Two matrices contiguous in one memory order are compared by ``memcmp``, at memory speed;
-    a strided or mixed-order pair, or a platform without the binding, in uint64 row blocks."""
+    """Whether float64 matrix ``x`` has ``kept``'s shape and the bits of each of its entries: one
+    ``memcmp`` when ``kept`` is contiguous and ``x`` has its strides, else (or without the binding)
+    one numpy compare of the uint64 views, whose boolean temporary takes one byte per entry."""
     if kept.shape != x.shape:
         return False
-    if x.flags.f_contiguous and not x.flags.c_contiguous:
-        kept, x = kept.T, x.T  # blocks of x's rows would be strided: walk its memory instead
-    if _memcmp is not None and kept.flags.c_contiguous and x.flags.c_contiguous:
+    if _memcmp is not None and (kept.flags.c_contiguous or kept.flags.f_contiguous) and x.strides == kept.strides:
         return _memcmp(kept.ctypes.data, x.ctypes.data, x.nbytes) == 0
-    kept, x = kept.view(np.uint64), x.view(np.uint64)
-    rows = max(1, _COMPARED_ENTRIES // x.shape[1])
-    return all(np.array_equal(kept[i : i + rows], x[i : i + rows]) for i in range(0, x.shape[0], rows))
+    return np.array_equal(kept.view(np.uint64), x.view(np.uint64))
 
 
 def _gram_factor(F: np.ndarray, lam_inv_F: np.ndarray):

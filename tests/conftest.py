@@ -1,12 +1,16 @@
-"""Shared test data and the independent summation oracle.
+"""Shared test data, the independent summation oracle and the exact oracle.
 
-The oracle computes every closed-form statistic by plain Python summation,
-with no numpy and none of the package's solve paths, so it can referee them.
-Key values are additionally frozen as literals below; a handful of asserts
-pin the oracle to those literals so neither can drift unnoticed.
+The summation oracle computes every closed-form statistic by plain Python
+summation, with no numpy and none of the package's solve paths, so it can
+referee them.  The exact oracle evaluates the same statistics exactly for the
+given floats and rounds each once, so it measures their error in ulps.  Key
+values are additionally frozen as literals below; a handful of asserts pin
+both oracles to those literals so neither can drift unnoticed.
 """
 
+import decimal
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +124,50 @@ assert _close(_o["real_se"], EXAMPLE_REAL_SE)
 assert _close(_o["imag_se"], EXAMPLE_IMAG_SE)
 assert _close(_o["wsq_plus"], EXAMPLE_WSQ_PLUS)
 assert _close(_o["var_plus"], EXAMPLE_VAR_PLUS)
+
+
+def exact_oracle(x, v):
+    """m_n, m_sn, σ_n, the slope, the complex mean, weighted square and variance (plus branch) and
+    ``real_se``, under ``summation_oracle``'s keys, evaluated exactly for the given floats and each
+    rounded once: ``Fraction`` sums, and ±√q for a rational q in ``decimal`` at 80 digits."""
+    xs, vs = [Fraction(a) for a in x], [Fraction(b) for b in v]
+    n = len(xs)
+    m_n = sum(xs) / n
+    m_sn = sum(a * a for a in xs) / n
+    s2 = m_sn - m_n * m_n
+    vbar = sum(vs) / n
+    v2bar = sum(b * b for b in vs) / n
+    c = sum(a * b for a, b in zip(xs, vs)) / n - m_n * vbar
+    d = sum(a * b * b for a, b in zip(xs, vs)) / n - m_n * v2bar
+
+    def root(q):  # √q, rounded once
+        with decimal.localcontext(decimal.Context(prec=80)):
+            return float((decimal.Decimal(q.numerator) / q.denominator).sqrt())
+
+    def over_sigma(q):  # q / σ_n = ±√(q² / σ_n²)
+        return math.copysign(root(q * q / s2), q)
+
+    return {
+        "m_n": float(m_n),
+        "m_sn": float(m_sn),
+        "sigma_n": root(s2),
+        "a_hat": float(c / s2),
+        "mean_plus": complex(float(vbar), over_sigma(c)),
+        "wsq_plus": complex(float(v2bar), over_sigma(d)),
+        # (v2bar + i·d/σ) − (vbar + i·c/σ)²: the real part is rational.
+        "var_plus": complex(float(v2bar - vbar * vbar + c * c / s2), over_sigma(d - 2 * vbar * c)),
+        "real_se": root((v2bar - vbar * vbar) / n),
+    }
+
+
+# Pin the exact oracle to the correctly rounded example values, once, at import.
+_e = exact_oracle(EXAMPLE_X, EXAMPLE_Y)
+assert _e["sigma_n"] == 2.7092434368288134
+assert _e["mean_plus"].real == 6.1454545454545455
+assert _e["wsq_plus"].imag == -5.43325114306814
+assert _e["var_plus"] == 3.1528128448217627 - 2.7772444892459864j
+assert _e["a_hat"] == -0.07976219965320787
+assert _e["real_se"] == 0.5313888922162836
 
 
 @pytest.fixture(scope="session")

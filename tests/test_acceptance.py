@@ -226,6 +226,7 @@ def test_invariant_suite():
             )
 
 
+@pytest.mark.blas_bits
 def test_cli_contract(capsys, tmp_path):
     with criterion("cli golden file and exit codes"):
         example = DATA_DIR / "example.csv"

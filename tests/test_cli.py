@@ -504,6 +504,7 @@ class TestComplexMeanCommand:
         assert code == EXIT_DEGENERATE
         assert out == ""
 
+    @pytest.mark.blas_bits
     def test_golden_file_byte_identical(self, capsys, example_csv_path):
         code, out, err = run_cli(capsys, "complex-mean", str(example_csv_path), "--json")
         assert code == EXIT_OK
@@ -742,6 +743,7 @@ def _run_fresh(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
 
 
+@pytest.mark.blas_bits
 def test_exit_codes_at_the_process_boundary(example_csv_path, tmp_path):
     # ``python -m ckrig.cli`` turns main's return value into the process's exit status.
     proc = _run_fresh("-m", "ckrig.cli", "complex-mean", str(example_csv_path), "--json")

@@ -217,6 +217,24 @@ class TestFeatureVector:
         with pytest.raises(ValueError, match="basis values must be finite"):
             feature_vector(TrendBasis.columns(lambda t: 1.0, lambda t: value), 1.0)
 
+    @pytest.mark.parametrize("value", ["1_0", b"2", 1j, np.array([1.0, 2.0])], ids=["str", "bytes", "complex", "vector"])
+    def test_columns_value_that_is_not_one_real_number_rejected(self, value):
+        # float() would read "1_0" as 10 and b"2" as 2; a vector would widen F.
+        basis = TrendBasis.columns(lambda t: 1.0, lambda t: value)
+        with pytest.raises(ValueError):
+            build_design(basis, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            feature_vector(basis, 2.0)
+
+    def test_columns_numbers_read_as_floats(self):
+        from fractions import Fraction
+
+        basis = TrendBasis.columns(lambda t: Fraction(1, 3), lambda t: np.float32(t / 10), lambda t: int(t) ** 3)
+        x = [1.0, 2.0, 3.0, 4.0]
+        want = np.array([[1 / 3, float(np.float32(t / 10)), float(int(t) ** 3)] for t in x])
+        assert _same_bits(build_design(basis, x).F, want)
+        assert _same_bits(feature_vector(basis, 2.0), want[1])
+
     @pytest.mark.parametrize("point", [np.inf, complex(1.0, np.nan)])
     def test_non_finite_point_rejected(self, point):
         with pytest.raises(ValueError, match="evaluation point must be finite"):
@@ -933,6 +951,35 @@ def test_same_bits_takes_memcmp_for_a_lambda_in_one_memory_order(kept_as, asked_
     assert _same_bits(got, TestWhitenedDesignSlot._query(x, lam, 1))
 
 
+@pytest.mark.parametrize(
+    "kept_as, asked_as, bound",
+    [("C", "C", True), ("F", "F", True), ("C", "F", True), ("F", "C", True), ("C", "strided", True),
+     ("C", "reversed", True), ("C", "C", False)],
+)
+def test_same_bits_memory(kept_as, asked_as, bound, monkeypatch):
+    # memcmp allocates nothing; numpy's compare holds one boolean temporary, one byte per entry.
+    if not bound:
+        monkeypatch.setattr(kriging, "_memcmp", None)
+    n = 2000
+    a = np.random.default_rng(11).uniform(-1.0, 1.0, size=(n, n))
+    kept = np.array(a, order=kept_as)
+    if asked_as == "strided":  # every other column of a wider matrix, at half _in_layout's memory
+        wide = np.empty((n, 2 * n))
+        wide[:, ::2] = a
+        x = wide[:, ::2]
+    else:
+        x = _in_layout(a, asked_as)
+    del a
+    tracemalloc.start()
+    try:
+        same = kriging._same_bits(kept, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert peak < 1 << 16 if bound and kept_as == asked_as else peak <= n * n + (1 << 16)
+
+
 def test_gram_warning_on_every_white_query():
     # Shifted covariates: the equilibrated Gram condition is ~1e12.
     d = build_design(TrendBasis.linear(), np.array(EXAMPLE_X) + 1e6)
@@ -1347,6 +1394,7 @@ WHITE_QUERY_DIGESTS = {
 }
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("point_kind", ["real", "complex"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [11, 200, 100_000])

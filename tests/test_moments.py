@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ckrig import (
     zero_variance_points,
 )
 from ckrig import moments
-from conftest import EXAMPLE_X, summation_oracle
+from conftest import EXAMPLE_X, EXAMPLE_Y, exact_oracle, summation_oracle
 
 
 @st.composite
@@ -148,6 +149,36 @@ class TestComplexMean:
     def test_degenerate_covariates(self):
         with pytest.raises(DegenerateCovariates):
             complex_mean(Sample(covariates=[1.0, 1.0], observations=[1.0, 2.0]))
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many doubles apart ``a`` and ``b`` are (0.0 and -0.0 are none apart)."""
+    def key(t):
+        i = struct.unpack("<q", struct.pack("<d", t))[0]
+        return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(key(a) - key(b))
+
+
+def test_complex_variance_is_within_32_ulps_of_the_exact_oracle():
+    # Not a bit pin: it holds under every OpenBLAS kernel (var.re, the widest, reads 22 ulps).
+    stats = complex_variance(Sample(covariates=EXAMPLE_X, observations=EXAMPLE_Y))
+    exact = exact_oracle(EXAMPLE_X, EXAMPLE_Y)
+    pairs = {
+        "m_n": (stats.moments.m_n, exact["m_n"]),
+        "m_sn": (stats.moments.m_sn, exact["m_sn"]),
+        "sigma_n": (stats.moments.sigma_n, exact["sigma_n"]),
+        "mean.re": (stats.mean.plus.real, exact["mean_plus"].real),
+        "mean.im": (stats.mean.plus.imag, exact["mean_plus"].imag),
+        "wsq.re": (stats.weighted_square.plus.real, exact["wsq_plus"].real),
+        "wsq.im": (stats.weighted_square.plus.imag, exact["wsq_plus"].imag),
+        "var.re": (stats.variance.plus.real, exact["var_plus"].real),
+        "var.im": (stats.variance.plus.imag, exact["var_plus"].imag),
+        "slope": (stats.slope, exact["a_hat"]),
+        "real_se": (stats.real_se, exact["real_se"]),
+    }
+    ulps = {name: _ulps(got, want) for name, (got, want) in pairs.items()}
+    assert max(ulps.values()) <= 32, ulps
 
 
 class TestComplexVariance:
@@ -405,6 +436,7 @@ MOMENT_DIGESTS = {
 }
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("n", [11, 200, 100_000])
 def test_moment_bytes_are_pinned(n):
     assert hashlib.sha256(_moment_bytes(n)).hexdigest() == MOMENT_DIGESTS[n]

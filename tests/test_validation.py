@@ -465,6 +465,7 @@ class TestMonteCarlo:
                 hits += 1
         assert hits >= math.ceil(0.95 * runs)
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize("point,noise_kind", list(_OFF_ROOT_REPRS))
     def test_report_away_from_the_root_is_pinned(self, point, noise_kind):
         # Off the zero-variance point, with a large intercept, each block's offset w·Fβ − f·β
@@ -562,6 +563,7 @@ class TestConcurrentFill:
         assert all(report == serial for report in reports)
         assert elapsed < 30.0
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize("seed,noise_kind", list(_ACCEPTANCE_REPRS))
     def test_acceptance_report_is_pinned(self, seed, noise_kind):
         cfg = _acceptance_config(100_000, seed, noise_kind)
