@@ -190,15 +190,17 @@ class KrigingSolution:
 def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
     """Evaluate the trend basis at every covariate.
 
-    Constant gives a column of ones, linear the columns [1, x]; a columns
-    basis evaluates each user function per covariate, and its values must be
-    finite.
+    Constant gives a column of ones, linear the columns [1, x], written in
+    place into one C-ordered array; a columns basis evaluates each user
+    function per covariate, and its values must be finite.
     """
     x = _real_vector(covariates, "covariates")
     if basis.kind == "constant":
         F = np.ones((x.size, 1))
     elif basis.kind == "linear":
-        F = np.column_stack([np.ones(x.size), x])
+        F = np.empty((x.size, 2))
+        F[:, 0] = 1.0
+        F[:, 1] = x
     else:
         F = _column_values(basis, x)
     F.flags.writeable = False
@@ -213,7 +215,10 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
     :class:`UnsupportedComplexBasis`; real points evaluate the user columns,
     whose values must be finite.  A text point raises ``ValueError``.
     """
-    z = complex(_numeric_array(point, "evaluation point"))
+    try:
+        z = complex(_numeric_array(point, "evaluation point"))
+    except OverflowError:  # an int past the float range
+        raise ValueError("evaluation point must be finite") from None
     if not cmath.isfinite(z):
         raise ValueError("evaluation point must be finite")
     if basis.kind == "constant":
@@ -265,6 +270,8 @@ def _feature_values(feature, k: int) -> np.ndarray:
             f = f.astype(complex if any(map(np.iscomplexobj, f.flat)) else float)
         except (TypeError, ValueError):
             raise ValueError("feature vector must be numeric") from None
+        except OverflowError:  # an int past the float range
+            raise ValueError("feature vector must be finite") from None
     if not _all_finite(f):
         raise ValueError("feature vector must be finite")
     return f
@@ -286,13 +293,17 @@ def _count(value, what: str, low: int = 1, high: Optional[int] = None) -> int:
 
 
 def _noise_scale(value, what: str):
-    """The noise-scale rule for σ² and σ: a real number, not a bool, finite and non-negative (NaN
-    fails both bounds)."""
+    """The noise-scale rule for σ² and σ: a real number, not a bool, non-negative and with a finite
+    float (NaN fails the bound; an int or ``Fraction`` past the float range has no float)."""
     # Text and complex values would fail to compare.  float is named first, as the check
     # against the abstract class alone takes ~1 µs, and each trend_variance call pays it.
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    if not 0.0 <= value < np.inf:
+    try:
+        finite = 0.0 <= value and float(value) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{what} must be finite and non-negative")
     return value
 

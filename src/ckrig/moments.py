@@ -153,16 +153,16 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     plus branch of the mean (one consistent evaluation point throughout).
     """
     mom, mean, a_hat = _mean_components(sample)
-    basis = TrendBasis.linear()
-    design = build_design(basis, sample.covariates)
-    solution = kriging_weights(design, None, feature_vector(basis, mom.zero_variance_points.plus))
+    # The design is not held, so its F is freed before v² is made and v² can reuse its memory.
+    f = feature_vector(TrendBasis.linear(), mom.zero_variance_points.plus)
+    weights = kriging_weights(build_design(TrendBasis.linear(), sample.covariates), None, f).weights
     v = sample.observations
     # v² in the real half of a complex array: the complex dot reads it with no cast of its own.
     v2 = np.zeros(v.size, complex)
     np.multiply(v, v, out=v2.real)
     return ComplexMoments(
         mean=mean,
-        weighted_square=ConjugatePair(complex(np.dot(solution.weights, v2))),
+        weighted_square=ConjugatePair(complex(np.dot(weights, v2))),
         real_se=_standard_error(v, v2.real),
         moments=mom,
         slope=a_hat,

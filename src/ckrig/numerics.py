@@ -133,7 +133,10 @@ def solve_spd(a, b) -> np.ndarray:
     b = _numeric_array(b, "right-hand side")
     if b.ndim not in (1, 2) or b.shape[0] != k:
         raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
-    b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
+    try:
+        b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
+    except OverflowError:  # an int past the float range
+        raise ValueError("right-hand side must be finite") from None
     return _substitute(_cholesky(a), b)
 
 
@@ -222,11 +225,17 @@ def _numeric_array(values, what: str) -> np.ndarray:
 
 def _real_array(values, what: str) -> np.ndarray:
     """The real-array rule: ``values`` as floats, a float64 array as itself; a complex dtype,
-    which a cast would cut, raises, as does text (``_numeric_array``)."""
+    which a cast would cut, raises, as does text (``_numeric_array``) and a number with no finite
+    float (an int or ``Fraction`` past the float range)."""
     x = _numeric_array(values, what)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real")
-    return x if x.dtype == np.float64 else x.astype(float)
+    if x.dtype == np.float64:
+        return x
+    try:
+        return x.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite") from None
 
 
 def _not_finite() -> ValueError:

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -691,6 +692,22 @@ def test_complex_point_query_makes_no_complex_copy_of_the_system(n):
         assert _same_bits(got.weights, design.F @ -got.multipliers)
         if n == 100_000:
             assert peak < (n * design.k * 16 if isinstance(point, complex) else n * 8 + (1 << 16))
+
+
+def test_linear_design_is_written_in_place():
+    # F is filled column by column in one array: no n-sized column of ones, no stacking pass.  It
+    # must keep the values and layout of the stacked columns; no BLAS call is involved.
+    n = 100_000
+    x = np.linspace(-4.0, 4.0, n)
+    tracemalloc.start()
+    try:
+        F = build_design(TrendBasis.linear(), x).F
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 16 + (1 << 16), peak
+    assert F.flags.c_contiguous and F.dtype == np.float64 and not F.flags.writeable
+    assert _same_bits(F, np.column_stack([np.ones(n), x]))
 
 
 @pytest.mark.parametrize("n", [11, 200])
@@ -1413,6 +1430,7 @@ _BAD_SAMPLE_VALUES = {
     "inf": _X[:-1] + [-math.inf],
     "wrong-length": _X[:-1],
     "overflow": [1.7e308] * len(_X),
+    "huge-int": _X[:-1] + [10**400],
 }
 _BAD_FEATURES = {
     "text": ["1.0", "4.6"],
@@ -1420,6 +1438,7 @@ _BAD_FEATURES = {
     "nan": [1.0, math.nan],
     "inf": [math.inf, 4.6],
     "wrong-length": [1.0, 4.6, 21.16],
+    "huge-int": [1.0, 10**400],
 }
 
 
@@ -1493,6 +1512,15 @@ RULE_ERRORS = {
     ("solve_spd.rhs", "text"): ("ValueError", "right-hand side must be numeric, not text"),
     ("solve_spd.rhs", "bytes"): ("ValueError", "right-hand side must be numeric, not text"),
     ("solve_spd.rhs", "wrong-length"): ("ValueError", "right-hand side must have shape (11,) or (11, m), got (10,)"),
+    # An int past the float range once escaped every rule as OverflowError.
+    ("kriging_weights.feature", "huge-int"): ("ValueError", "feature vector must be finite"),
+    ("kkt_solve.feature", "huge-int"): ("ValueError", "feature vector must be finite"),
+    ("kriging_weights.obs", "huge-int"): ("ValueError", "observations must be finite"),
+    ("gls_beta.obs", "huge-int"): ("ValueError", "observations must be finite"),
+    ("predict.obs", "huge-int"): ("ValueError", "observations must be finite"),
+    ("Sample.covariates", "huge-int"): ("ValueError", "covariates must be finite"),
+    ("Sample.observations", "huge-int"): ("ValueError", "observations must be finite"),
+    ("solve_spd.rhs", "huge-int"): ("ValueError", "right-hand side must be finite"),
 }
 
 
@@ -1505,6 +1533,42 @@ def test_rule_errors_are_pinned(entry, kind, form):
     with pytest.raises(Exception) as err:
         _rule_call(entry)(values)
     assert (type(err.value).__name__, str(err.value)) == RULE_ERRORS[entry, kind]
+
+
+@pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400)], ids=["int", "negative-int", "Fraction"])
+def test_numbers_past_the_float_range_raise_value_error(big):
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    solution = kriging_weights(d, None, [1.0, 4.6])
+    config = {"covariates": EXAMPLE_X, "beta": (1.0, 0.5), "sigma": 1.0, "replicates": 10, "seed": 1}
+    calls = {
+        "feature_vector": lambda: feature_vector(TrendBasis.linear(), big),
+        "feature_vector.ndarray": lambda: feature_vector(TrendBasis.linear(), np.array(big, dtype=object)),
+        "trend_variance": lambda: trend_variance(solution, big),
+        "constant_mean_variance": lambda: constant_mean_variance(3, big),
+        "SimulationConfig.sigma": lambda: SimulationConfig(**{**config, "sigma": big}),
+        "SimulationConfig.beta": lambda: SimulationConfig(**{**config, "beta": (1.0, big)}),
+        "solve_spd.matrix": lambda: solve_spd([[big, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        "solve_spd.rhs": lambda: solve_spd(np.eye(2), [1.0, big]),
+        "index_moments": lambda: index_moments([1.0, big]),
+        "build_design": lambda: build_design(TrendBasis.linear(), [1.0, big]),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("value", [10**300, 2**53 + 1])
+def test_large_ints_in_the_float_range_keep_their_values(value):
+    # Each rule reads a Python int as it did before ints past the float range were rejected.
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    solution = kriging_weights(d, None, [1.0, 4.6])
+    assert constant_mean_variance(3, value) == value / 3  # int true division, rounded once
+    assert trend_variance(solution, value) == complex(value * solution.variance_factor)
+    assert feature_vector(TrendBasis.linear(), value).tolist() == [1.0, float(value)]
+    config = SimulationConfig(covariates=EXAMPLE_X, beta=(1.0, value), sigma=value, replicates=10, seed=1)
+    assert config.beta == (1.0, float(value)) and config.sigma == value
+    assert solve_spd(np.eye(2), [1, value]).tolist() == [1.0, float(value)]
+    assert _same_bits(solve_spd([[value, 0], [0, 1]], [value, 1]), solve_spd([[float(value), 0.0], [0.0, 1.0]], [float(value), 1.0]))
 
 
 @pytest.mark.parametrize("entry", ["kriging_weights", "kkt_solve"])

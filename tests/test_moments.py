@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,66 @@ MOMENT_DIGESTS = {
 @pytest.mark.parametrize("n", [11, 200, 100_000])
 def test_moment_bytes_are_pinned(n):
     assert hashlib.sha256(_moment_bytes(n)).hexdigest() == MOMENT_DIGESTS[n]
+
+
+def _moment_sample(n):
+    """The seeded linear sample of ``_moment_bytes``, drawn the same way."""
+    rng = np.random.default_rng([24, n])
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    return Sample(x, 1.0 + 0.5 * x + rng.normal(size=n))
+
+
+@pytest.fixture(scope="module")
+def large_moment_case():
+    """The n = 10^5 sample of ``test_moment_bytes_are_pinned`` and its exact oracle (seconds to take)."""
+    sample = _moment_sample(100_000)
+    return sample, exact_oracle(sample.covariates, sample.observations)
+
+
+def test_large_sample_moments_are_accurate_on_every_kernel(large_moment_case):
+    # The accuracy twin of the n = 10^5 bit pin, which holds only under one OpenBLAS kernel.  The
+    # moment-pass outputs are numpy sums, within 2 ulps everywhere; the weighted square is a BLAS
+    # dot of 10^5 terms (47 ulps at worst, under Nehalem).  Each variance part cancels its terms, so
+    # it is bounded against their scale: |Re ŵ| + |m̂|², and |Im ŵ| + 2|Re m̂·Im m̂| (at worst
+    # 12.9 and 6.1 eps of it).
+    sample, exact = large_moment_case
+    stats = complex_variance(sample)
+    mom, mean = stats.moments, exact["mean_plus"]
+    pairs = {
+        "m_n": (mom.m_n, exact["m_n"]),
+        "m_sn": (mom.m_sn, exact["m_sn"]),
+        "sigma_n": (mom.sigma_n, exact["sigma_n"]),
+        "mean.re": (stats.mean.plus.real, mean.real),
+        "mean.im": (stats.mean.plus.imag, mean.imag),
+        "complex_mean.im": (complex_mean(sample).plus.imag, mean.imag),
+        "imag_se": (stats.imag_se, abs(mean.imag)),
+        "imaginary_standard_error": (imaginary_standard_error(sample), abs(mean.imag)),
+        "slope": (stats.slope, exact["a_hat"]),
+        "slope()": (slope(sample), exact["a_hat"]),
+        "real_se": (stats.real_se, exact["real_se"]),
+    }
+    ulps = {name: _ulps(got, want) for name, (got, want) in pairs.items()}
+    assert max(ulps.values()) <= 4, ulps
+    wsq, exact_wsq = stats.weighted_square.plus, exact["wsq_plus"]
+    assert _ulps(wsq.real, exact_wsq.real) <= 128 and _ulps(wsq.imag, exact_wsq.imag) <= 128, wsq
+    var, exact_var = stats.variance.plus, exact["var_plus"]
+    eps = np.finfo(float).eps
+    assert abs(var.real - exact_var.real) <= 32 * eps * (abs(exact_wsq.real) + abs(mean) ** 2), var
+    assert abs(var.imag - exact_var.imag) <= 32 * eps * (abs(exact_wsq.imag) + 2 * abs(mean.real * mean.imag)), var
+
+
+def test_complex_variance_frees_its_design_before_squaring():
+    # F (n·16 bytes) is freed before v² (n·16) is made; the weights (n·16) and the block buffer of
+    # a complex-point product stay.  Holding F as well peaks near 3·n·16 + the buffer.
+    n = 100_000
+    sample = _moment_sample(n)  # fresh: the moment pass runs in the traced call
+    tracemalloc.start()
+    try:
+        complex_variance(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 16 + (1 << 20), peak
 
 
 @pytest.mark.parametrize("n", [11, 200, 1001, 100_003])
