@@ -213,12 +213,13 @@ def feature_vector(basis: TrendBasis, point) -> np.ndarray:
     Constant yields (1,), linear (1, point).  Column bases have no implied
     complex extension, so a nonzero imaginary part raises
     :class:`UnsupportedComplexBasis`; real points evaluate the user columns,
-    whose values must be finite.  A text point raises ``ValueError``.
+    whose values must be finite.  A text point, or a list or array point (ndim > 0), raises
+    ``ValueError``.
     """
-    try:
-        z = complex(_numeric_array(point, "evaluation point"))
-    except OverflowError:  # an int past the float range
-        raise ValueError("evaluation point must be finite") from None
+    x = _numeric_array(point, "evaluation point")
+    if x.ndim:
+        raise ValueError("evaluation point must be one number")
+    z = complex(x)
     if not cmath.isfinite(z):
         raise ValueError("evaluation point must be finite")
     if basis.kind == "constant":
@@ -259,19 +260,11 @@ def _real_vector(values, what: str) -> np.ndarray:
 
 
 def _feature_values(feature, k: int) -> np.ndarray:
-    """The feature-vector rule: k finite (real or complex) trend basis values.  An object array,
-    of ``Fraction``s say, is cast to complex if an entry is complex and to float otherwise."""
+    """The feature-vector rule: k finite (real or complex) trend basis values."""
     f = _numeric_array(feature, "feature vector")
     f = f.reshape(1) if f.ndim == 0 else f
     if f.shape != (k,):
         raise LengthMismatch(f"feature vector must have length {k}, got {f.shape}")
-    if f.dtype.kind == "O":
-        try:
-            f = f.astype(complex if any(map(np.iscomplexobj, f.flat)) else float)
-        except (TypeError, ValueError):
-            raise ValueError("feature vector must be numeric") from None
-        except OverflowError:  # an int past the float range
-            raise ValueError("feature vector must be finite") from None
     if not _all_finite(f):
         raise ValueError("feature vector must be finite")
     return f

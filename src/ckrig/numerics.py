@@ -124,7 +124,7 @@ def solve_spd(a, b) -> np.ndarray:
         design.
     ValueError
         For non-square, complex, non-finite or materially asymmetric input,
-        text in ``a`` or ``b``, or a ``b`` of any other shape.
+        text or a non-number in ``a`` or ``b``, or a ``b`` of any other shape.
     """
     a = _real_array(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -133,10 +133,6 @@ def solve_spd(a, b) -> np.ndarray:
     b = _numeric_array(b, "right-hand side")
     if b.ndim not in (1, 2) or b.shape[0] != k:
         raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
-    try:
-        b = b.astype(complex if np.iscomplexobj(b) else float, copy=False)
-    except OverflowError:  # an int past the float range
-        raise ValueError("right-hand side must be finite") from None
     return _substitute(_cholesky(a), b)
 
 
@@ -212,30 +208,33 @@ def _substitute(factor, b: np.ndarray) -> np.ndarray:
 
 
 def _numeric_array(values, what: str) -> np.ndarray:
-    """The numeric-array rule: ``values`` as an array (an ndarray as itself); text, which numpy
-    and ``complex()`` would parse ("1_0" as 10), raises, as does a list holding any str (numpy
-    makes it text) and an object array holding any str or bytes (a cast calls ``float()`` on
-    each element).  Other object arrays, of ``Fraction``s say, are left to the caller's cast."""
+    """The number rule: ``values`` as a float64 array, or a complex128 one if any entry is complex;
+    a float64 or complex128 ndarray comes back as itself, and an object array is cast by its
+    entries.  Text raises, as numpy and ``complex()`` would parse it ("1_0" as 10): a text dtype
+    (a list holding any str makes one) or an object array holding str or bytes.  So do a number
+    with no finite float (an int or ``Fraction`` past the float range) and a non-number."""
     x = np.asarray(values)
+    if x.dtype == np.float64 or x.dtype == np.complex128:
+        return x
     kind = x.dtype.kind
     if kind in "US" or (kind == "O" and any(isinstance(e, (str, bytes)) for e in x.flat)):
         raise ValueError(f"{what} must be numeric, not text")
-    return x
+    is_complex = kind == "c" or (kind == "O" and any(map(np.iscomplexobj, x.flat)))
+    try:
+        return x.astype(complex if is_complex else float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} must be finite") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be numeric") from None
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """The real-array rule: ``values`` as floats, a float64 array as itself; a complex dtype,
-    which a cast would cut, raises, as does text (``_numeric_array``) and a number with no finite
-    float (an int or ``Fraction`` past the float range)."""
+    """The real-array rule: the number rule (``_numeric_array``), and a complex result, which a
+    cast to float would cut, raises."""
     x = _numeric_array(values, what)
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real")
-    if x.dtype == np.float64:
-        return x
-    try:
-        return x.astype(float)
-    except OverflowError:
-        raise ValueError(f"{what} must be finite") from None
+    return x
 
 
 def _not_finite() -> ValueError:

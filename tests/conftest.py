@@ -126,19 +126,34 @@ assert _close(_o["wsq_plus"], EXAMPLE_WSQ_PLUS)
 assert _close(_o["var_plus"], EXAMPLE_VAR_PLUS)
 
 
+def _exact_sum(terms):
+    """Σ m·2^e over (integer m, integer e) terms, exactly: one integer sum, each m shifted to the
+    smallest e, and one ``Fraction`` of it (no gcd per addition)."""
+    terms = list(terms)
+    low = min(e for _, e in terms)
+    total = sum(m << (e - low) for m, e in terms)
+    return Fraction(total << low) if low >= 0 else Fraction(total, 1 << -low)
+
+
+def _mantissas(values):
+    """Each float as (integer m, integer e) with value m·2^e, exactly."""
+    return [(int(m * 2.0**53), e - 53) for m, e in map(math.frexp, values)]
+
+
 def exact_oracle(x, v):
     """m_n, m_sn, σ_n, the slope, the complex mean, weighted square and variance (plus branch) and
     ``real_se``, under ``summation_oracle``'s keys, evaluated exactly for the given floats and each
-    rounded once: ``Fraction`` sums, and ±√q for a rational q in ``decimal`` at 80 digits."""
-    xs, vs = [Fraction(a) for a in x], [Fraction(b) for b in v]
+    rounded once: exact sums of the floats' integer mantissas (``_exact_sum``), and ±√q for a
+    rational q in ``decimal`` at 80 digits."""
+    xs, vs = _mantissas(x), _mantissas(v)
     n = len(xs)
-    m_n = sum(xs) / n
-    m_sn = sum(a * a for a in xs) / n
+    m_n = _exact_sum(xs) / n
+    m_sn = _exact_sum((a * a, e + e) for a, e in xs) / n
     s2 = m_sn - m_n * m_n
-    vbar = sum(vs) / n
-    v2bar = sum(b * b for b in vs) / n
-    c = sum(a * b for a, b in zip(xs, vs)) / n - m_n * vbar
-    d = sum(a * b * b for a, b in zip(xs, vs)) / n - m_n * v2bar
+    vbar = _exact_sum(vs) / n
+    v2bar = _exact_sum((b * b, f + f) for b, f in vs) / n
+    c = _exact_sum((a * b, e + f) for (a, e), (b, f) in zip(xs, vs)) / n - m_n * vbar
+    d = _exact_sum((a * b * b, e + f + f) for (a, e), (b, f) in zip(xs, vs)) / n - m_n * v2bar
 
     def root(q):  # √q, rounded once
         with decimal.localcontext(decimal.Context(prec=80)):

@@ -28,6 +28,7 @@ from ckrig import (
     index_moments,
     kkt_solve,
     kriging_weights,
+    monte_carlo_mse,
     predict,
     prediction_error_variance,
     solve_spd,
@@ -240,6 +241,15 @@ class TestFeatureVector:
     def test_non_finite_point_rejected(self, point):
         with pytest.raises(ValueError, match="evaluation point must be finite"):
             feature_vector(TrendBasis.linear(), point)
+
+    @pytest.mark.parametrize("point", [[4.6], np.array([[4.6]]), [4.6, 1.0]], ids=["list", "matrix", "pair"])
+    def test_point_that_is_not_one_number_rejected(self, point):
+        # complex() raised TypeError on any array with ndim > 0, even of one entry.
+        with pytest.raises(ValueError, match="^evaluation point must be one number$") as err:
+            feature_vector(TrendBasis.linear(), point)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match="^evaluation point must be one number$"):
+            monte_carlo_mse(_config(), point)
 
 
 class TestGlsBeta:
@@ -1431,6 +1441,8 @@ _BAD_SAMPLE_VALUES = {
     "wrong-length": _X[:-1],
     "overflow": [1.7e308] * len(_X),
     "huge-int": _X[:-1] + [10**400],
+    "non-number": _X[:-1] + [object()],
+    "object-complex": [Fraction(v) for v in _X[:-1]] + [1j],  # an object array, as a list too
 }
 _BAD_FEATURES = {
     "text": ["1.0", "4.6"],
@@ -1439,6 +1451,7 @@ _BAD_FEATURES = {
     "inf": [math.inf, 4.6],
     "wrong-length": [1.0, 4.6, 21.16],
     "huge-int": [1.0, 10**400],
+    "non-number": [1.0, object()],
 }
 
 
@@ -1521,6 +1534,20 @@ RULE_ERRORS = {
     ("Sample.covariates", "huge-int"): ("ValueError", "covariates must be finite"),
     ("Sample.observations", "huge-int"): ("ValueError", "observations must be finite"),
     ("solve_spd.rhs", "huge-int"): ("ValueError", "right-hand side must be finite"),
+    # An object array holding a non-number, or at a real rule a complex entry, once escaped as TypeError.
+    ("kriging_weights.feature", "non-number"): ("ValueError", "feature vector must be numeric"),
+    ("kkt_solve.feature", "non-number"): ("ValueError", "feature vector must be numeric"),
+    ("kriging_weights.obs", "non-number"): ("ValueError", "observations must be numeric"),
+    ("gls_beta.obs", "non-number"): ("ValueError", "observations must be numeric"),
+    ("predict.obs", "non-number"): ("ValueError", "observations must be numeric"),
+    ("Sample.covariates", "non-number"): ("ValueError", "covariates must be numeric"),
+    ("Sample.observations", "non-number"): ("ValueError", "observations must be numeric"),
+    ("solve_spd.rhs", "non-number"): ("ValueError", "right-hand side must be numeric"),
+    ("kriging_weights.obs", "object-complex"): ("ValueError", "observations must be real"),
+    ("gls_beta.obs", "object-complex"): ("ValueError", "observations must be real"),
+    ("predict.obs", "object-complex"): ("ValueError", "observations must be real"),
+    ("Sample.covariates", "object-complex"): ("ValueError", "covariates must be real"),
+    ("Sample.observations", "object-complex"): ("ValueError", "observations must be real"),
 }
 
 

@@ -60,6 +60,18 @@ class TestSolveSpd:
         assert np.iscomplexobj(x)
         assert_allclose(a @ x, b, atol=1e-14)
 
+    @pytest.mark.parametrize("k", [3, numerics._SMALL_ORDER + 1])
+    def test_object_right_hand_side_is_read_by_its_entries(self, k):
+        # np.iscomplexobj reads an object array's dtype only, so a complex entry was cast to float.
+        from fractions import Fraction
+
+        a = _random_spd(k)
+        entries = [1j] + [Fraction(j, 7) for j in range(1, k)]
+        want = solve_spd(a, np.array([complex(e) for e in entries]))
+        for b in (entries, np.array(entries, dtype=object), [[e] for e in entries]):
+            x = solve_spd(a, b)
+            assert x.dtype == np.complex128 and x.shape == np.shape(b) and x.tobytes() == want.tobytes()
+
     def test_singular_raises(self):
         with pytest.raises(NotPositiveDefinite):
             solve_spd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
@@ -326,6 +338,32 @@ class TestSolveSpd:
         x = solve_spd(a, b)
         residual = np.max(np.abs(a @ x - b))
         assert residual <= 1e-10 * max(np.max(np.abs(b)), 1e-30)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_number_rule_takes_float64_and_complex128_arrays_as_they_are(dtype):
+    # Every query path hands the rules such arrays, and the rules neither copy nor cast them.
+    x = np.arange(12.0).reshape(3, 4).astype(dtype)
+    for view in (x, x.T, x[:, ::2]):
+        assert numerics._numeric_array(view, "values") is view
+        if dtype is np.float64:
+            assert numerics._real_array(view, "values") is view
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([1, 2], np.float64),
+        (np.array([1, 2], dtype=np.float32), np.float64),
+        (np.array([1, 2], dtype=np.complex64), np.complex128),
+        (np.array([1, 2.5], dtype=object), np.float64),
+        (np.array([1, 2.5j], dtype=object), np.complex128),
+    ],
+    ids=["int-list", "float32", "complex64", "object-real", "object-complex"],
+)
+def test_number_rule_casts_every_other_dtype(values, dtype):
+    x = numerics._numeric_array(values, "values")
+    assert x.dtype == dtype and x.tolist() == np.asarray(values).tolist()
 
 
 def test_solve_keeps_nothing(monkeypatch):
