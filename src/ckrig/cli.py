@@ -305,7 +305,7 @@ def _flag(kind: type = float, expected: str = "a number"):
 
 
 _real_point = _flag(float)
-_integer = _flag(int)
+_integer = _flag(int, "an integer")
 _complex_point = _flag(complex, "a number or 'zero-variance'")
 
 

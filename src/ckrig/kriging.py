@@ -440,7 +440,7 @@ def _same_bits(kept: np.ndarray, x: np.ndarray) -> bool:
 def _gram_factor(F: np.ndarray, lam_inv_F: np.ndarray):
     """(factor, equilibrated condition) of the Gram matrix F'Λ⁻¹F, the one place that forms and factors it."""
     gram = _gram(F, lam_inv_F)
-    # A symmetrized Gram matrix fails the factorization on a pivot or on overflowed entries: both degenerate.
+    # Not scanned: exactly symmetric as formed, and an overflowed or NaN entry fails the pivot guard.
     try:
         factor = _cholesky(gram)
     except ValueError as exc:

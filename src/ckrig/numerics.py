@@ -21,9 +21,9 @@ then a substitution step, ``_substitute``: ``kriging`` keeps each design's
 white-noise Gram factor, and the Λ⁻¹F and Gram factor that its dense queries
 repeat.  Both paths read the lower triangle, and both add the relative pivot
 guard that LAPACK lacks.  The package's one rule for a matrix's entries,
-``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``), lives here
-too; it scans a matrix in square tiles, so it makes no temporary of the
-matrix's size.
+``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``, scanned in square
+tiles with no temporary of the matrix's size), runs in ``solve_spd``, not in
+``_cholesky``: a Gram matrix that ``kriging`` symmetrizes is factored unscanned.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def check_symmetric(a: np.ndarray) -> None:
                 # np.maximum keeps a NaN in either place; Python's max drops it in the second.
                 tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
             if not np.isfinite(tile_scale):
-                raise _not_finite()
+                raise ValueError("matrix must be finite")
             scale = max(scale, float(tile_scale))
             diff = max(diff, float(np.max(np.abs(upper - lower))))
     if diff > SYMMETRY_RTOL * scale:
@@ -96,7 +96,7 @@ def check_symmetric(a: np.ndarray) -> None:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
-    The argument checks, then ``_cholesky(a)`` and ``_substitute`` of ``b``.
+    The argument checks and the scan of ``a``, then ``_cholesky(a)`` and ``_substitute`` of ``b``.
     Two factorizations share one contract, chosen by the order k of ``a``:
     k <= ``_SMALL_ORDER`` is a Cholesky loop in Python floats with one
     substitution per column of ``b`` (the trend Gram matrices and small Λ), so
@@ -133,12 +133,14 @@ def solve_spd(a, b) -> np.ndarray:
     b = _numeric_array(b, "right-hand side")
     if b.ndim not in (1, 2) or b.shape[0] != k:
         raise ValueError(f"right-hand side must have shape ({k},) or ({k}, m), got {b.shape}")
+    check_symmetric(a)
     return _substitute(_cholesky(a), b)
 
 
 def _cholesky(a: np.ndarray):
-    """The factor step of ``solve_spd``: ``check_symmetric``, then the Cholesky factor of ``a``
-    behind the pivot guard.  Above ``_SMALL_ORDER`` it is LAPACK's blocked upper factor, an array.
+    """The factor step of ``solve_spd``, with no scan: the Cholesky factor of ``a`` behind the pivot
+    guard, which also rejects the NaN or infinite pivot that a non-finite entry leaves.  Above
+    ``_SMALL_ORDER`` it is LAPACK's blocked upper factor, an array.
 
     Up to it, a row-by-row Cholesky in Python floats gives the factor's rows below the diagonal
     and the reciprocals of its diagonal, two lists.  Row i of the factor is
@@ -146,7 +148,6 @@ def _cholesky(a: np.ndarray):
     ``a_ii − Σ_{p<i} l_ip²``, each sum taken left to right.  Each division is a multiplication by
     the reciprocal, as OpenBLAS's kernels do; only a's lower triangle is read.
     """
-    check_symmetric(a)
     if a.shape[0] > _SMALL_ORDER:
         from scipy.linalg.lapack import dpotrf
 
@@ -180,9 +181,9 @@ def _cholesky(a: np.ndarray):
 
 
 def _substitute(factor, b: np.ndarray) -> np.ndarray:
-    """The substitution step of ``solve_spd``: x = a⁻¹b from ``factor = _cholesky(a)``, float or,
-    for a complex ``b``, complex.  LAPACK's factor goes to ``dpotrs``; with the loop's, each column
-    of b, as a list of Python numbers, is substituted forward and back alone."""
+    """The substitution step of ``solve_spd``: x = a⁻¹b from ``factor = _cholesky(a)``, in b's dtype
+    (float64 or complex128).  LAPACK's factor goes to ``dpotrs``; with the loop's, each column of b,
+    as a list of Python numbers, is substituted forward and back alone."""
     if isinstance(factor, np.ndarray):
         from scipy.linalg import cho_solve
 
@@ -201,10 +202,9 @@ def _substitute(factor, b: np.ndarray) -> np.ndarray:
             for p in range(i + 1, k):
                 s -= lower[p][i] * y[p]
             y[i] = s * recip[i]
-    dtype = complex if b.dtype.kind == "c" else float
     if b.ndim == 1:
-        return np.array(columns[0], dtype=dtype)
-    return np.array(columns, dtype=dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
+        return np.array(columns[0], dtype=b.dtype)
+    return np.array(columns, dtype=b.dtype).reshape(b.shape[::-1]).T.copy()  # b's shape, even at m = 0
 
 
 def _numeric_array(values, what: str) -> np.ndarray:
@@ -235,10 +235,6 @@ def _real_array(values, what: str) -> np.ndarray:
     if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real")
     return x
-
-
-def _not_finite() -> ValueError:
-    return ValueError("matrix must be finite")
 
 
 def _not_positive_definite(j: int) -> NotPositiveDefinite:

@@ -141,12 +141,11 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
 
     # Built Fortran-ordered in the solve's dtype, so that LAPACK solves it in place (a cast
     # or a transposing copy would make a second one), and freed before the residuals are formed.
-    dtype = np.result_type(f.dtype, float)
-    bordered = np.zeros((n + k, n + k), dtype=dtype, order="F")
+    bordered = np.zeros((n + k, n + k), dtype=f.dtype, order="F")
     bordered[:n, :n] = lam
     bordered[:n, n:] = F
     bordered[n:, :n] = F.T
-    rhs = np.zeros(n + k, dtype=dtype)
+    rhs = np.zeros(n + k, dtype=f.dtype)
     rhs[n:] = f
     solution = _solve_bordered(bordered, rhs)
     del bordered

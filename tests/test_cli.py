@@ -324,9 +324,9 @@ class TestNumericInputRules:
             (["fit", "FILE", "--sigma2", "1_0"], "not a number: '1_0'"),
             (["simulate", "--at", "1_0"], "not a number or 'zero-variance': '1_0'"),
             (["simulate", "--at", "6+3_1j"], "not a number or 'zero-variance': '6+3_1j'"),
-            (["simulate", "--n", "1_000"], "not a number: '1_000'"),
-            (["simulate", "--replicates", "1_000"], "not a number: '1_000'"),
-            (["simulate", "--seed", "1_000"], "not a number: '1_000'"),
+            (["simulate", "--n", "1_000"], "not an integer: '1_000'"),
+            (["simulate", "--replicates", "1_000"], "not an integer: '1_000'"),
+            (["simulate", "--seed", "1_000"], "not an integer: '1_000'"),
         ],
         ids=[
             "fit-sigma2",
@@ -343,6 +343,14 @@ class TestNumericInputRules:
             main(argv)
         assert err.value.code == EXIT_INPUT
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["2.5", "1e5"])
+    @pytest.mark.parametrize("flag", ["--n", "--replicates", "--seed"])
+    def test_non_integer_in_integer_flag_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", flag, value])
+        assert err.value.code == EXIT_INPUT
+        assert f"not an integer: '{value}'" in capsys.readouterr().err
 
     def test_integer_flag_of_400_digits_parses(self):
         # An int is never checked for finiteness, which would overflow a float.

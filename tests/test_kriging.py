@@ -22,6 +22,7 @@ from ckrig import (
     TrendBasis,
     UnsupportedComplexBasis,
     build_design,
+    complex_variance,
     constant_mean_variance,
     feature_vector,
     gls_beta,
@@ -531,24 +532,61 @@ def test_prediction_error_warns_of_an_overflowing_correlation_product():
     assert got == complex(math.inf, 0.0)
 
 
+def _spy_scans(monkeypatch):
+    """Record the shape of each matrix that ``numerics.check_symmetric`` scans."""
+    scans = []
+    original = numerics.check_symmetric
+    monkeypatch.setattr(numerics, "check_symmetric", lambda a: scans.append(a.shape) or original(a))
+    return scans
+
+
 @pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
 def test_dense_correlation_scanned_once(call, monkeypatch):
-    calls = []
-    original = numerics.check_symmetric
-
-    def spy(a):
-        calls.append(a.shape)
-        original(a)
-
-    monkeypatch.setattr(numerics, "check_symmetric", spy)
+    calls = _spy_scans(monkeypatch)
     d = build_design(TrendBasis.linear(), EXAMPLE_X)
     lam = _random_correlation(np.random.default_rng(3), 11)
     if call == "gls_beta":
         gls_beta(d, lam, EXAMPLE_Y)
     else:
         kriging_weights(d, lam, [1.0, 4.6], obs=EXAMPLE_Y)
-    # One scan of the 11x11 Λ; the rest are 2x2 Gram solves.
-    assert calls.count((11, 11)) == 1
+    # One scan, of the 11x11 Λ: the Gram matrix, symmetric as formed, is factored unscanned.
+    assert calls == [(11, 11)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("call", ["gls_beta", "real", "complex"])
+def test_white_gram_is_never_scanned(k, call, monkeypatch):
+    scans = _spy_scans(monkeypatch)
+    d = build_design(_basis_for(k), EXAMPLE_X)
+    if call == "gls_beta":
+        gls_beta(d, None, EXAMPLE_Y)
+    else:
+        point = 4.6 if call == "real" else 4.6 + 2.7j
+        kriging_weights(d, None, [1.0, point, point * point][:k], obs=EXAMPLE_Y)
+    assert scans == []
+
+
+@pytest.mark.parametrize("call", ["complex_variance", "monte_carlo_mse"])
+def test_white_moments_and_monte_carlo_scan_nothing(call, monkeypatch):
+    scans = _spy_scans(monkeypatch)
+    if call == "complex_variance":
+        complex_variance(Sample(covariates=EXAMPLE_X, observations=EXAMPLE_Y))
+    else:
+        monte_carlo_mse(_config(), 4.6 + 2.7j)
+    assert scans == []
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["white", "dense"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_overflowed_gram_fails_the_pivot_guard(k, dense):
+    # Σx² overflows to inf; the unscanned Gram matrix leaves a NaN pivot, read as degenerate.  A
+    # constant basis's Gram matrix is n (times Λ⁻¹'s sum) and cannot overflow.
+    x = 1e155 * np.linspace(1.0, 2.0, 11)
+    basis = TrendBasis.linear() if k == 2 else TrendBasis.columns(lambda t: 1.0, lambda t: t, lambda t: 1.0 / t)
+    corr = _random_correlation(np.random.default_rng(3), 11) if dense else None
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateDesign) as err:
+        gls_beta(build_design(basis, x), corr, EXAMPLE_Y)
+    assert type(err.value.__cause__) is numerics.NotPositiveDefinite
 
 
 def _spy_gram(monkeypatch):
@@ -1552,7 +1590,7 @@ RULE_ERRORS = {
 
 
 @pytest.mark.parametrize("form", ["list", "ndarray"])
-@pytest.mark.parametrize("entry, kind", sorted(RULE_ERRORS), ids="-".join)
+@pytest.mark.parametrize("entry, kind", sorted(RULE_ERRORS), ids=["-".join(p) for p in sorted(RULE_ERRORS)])
 def test_rule_errors_are_pinned(entry, kind, form):
     values = (_BAD_FEATURES if entry.endswith("feature") else _BAD_SAMPLE_VALUES)[kind]
     if form == "ndarray":

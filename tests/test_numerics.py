@@ -381,6 +381,55 @@ def test_solve_keeps_nothing(monkeypatch):
         assert again is not first and np.array_equal(again, first)
 
 
+@pytest.mark.parametrize("k", [2, 11, 65])
+def test_solve_scans_its_matrix_and_the_factor_step_does_not(k, monkeypatch):
+    a = _random_spd(k)
+    scans = []
+    original = numerics.check_symmetric
+    monkeypatch.setattr(numerics, "check_symmetric", lambda m: scans.append(m.shape) or original(m))
+    for calls in (1, 2):
+        solve_spd(a, np.ones(k))
+        assert scans == [(k, k)] * calls
+    numerics._cholesky(a)
+    assert scans == [(k, k)] * 2
+
+
+def _symmetric_with_entry(a, spot, value):
+    return _with_entry(_with_entry(a, spot, value), spot[::-1], value)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[np.nan]],
+        [[np.inf]],
+        [[np.nan, 0.5], [0.5, 2.0]],
+        [[2.0, np.nan], [np.nan, 2.0]],
+        [[2.0, 0.5], [0.5, np.inf]],
+        [[2.0, -np.inf], [-np.inf, 2.0]],
+        _symmetric_with_entry(_random_spd(3), (2, 1), np.inf),
+        _symmetric_with_entry(_random_spd(200), (199, 0), np.nan),
+        _symmetric_with_entry(_random_spd(200), (100, 100), np.inf),
+    ],
+    ids=[
+        "nan-1",
+        "inf-1",
+        "nan-diagonal",
+        "nan-off-diagonal",
+        "inf-diagonal",
+        "minus-inf-off-diagonal",
+        "inf-off-diagonal-3",
+        "nan-off-diagonal-200",
+        "inf-diagonal-200",
+    ],
+)
+def test_factor_step_rejects_a_non_finite_entry_at_its_pivot(a):
+    # _cholesky makes no scan: a non-finite entry of the lower triangle leaves a NaN or infinite
+    # pivot, which the pivot guard rejects.  So a Gram matrix that kriging forms need not be scanned.
+    with pytest.raises(NotPositiveDefinite):
+        numerics._cholesky(np.array(a))
+
+
 @pytest.mark.parametrize("k", [65, 200])
 class TestSolveMemo:
     """No memo is left in ``solve_spd``: a system edited in place between calls is solved afresh."""
