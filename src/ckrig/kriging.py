@@ -287,7 +287,8 @@ def _count(value, what: str, low: int = 1, high: Optional[int] = None) -> int:
 
 def _noise_scale(value, what: str):
     """The noise-scale rule for σ² and σ: a real number, not a bool, non-negative and with a finite
-    float (NaN fails the bound; an int or ``Fraction`` past the float range has no float)."""
+    float (NaN fails the bound; an int or ``Fraction`` past the float range has no float).  Returns
+    a numpy scalar as its Python number, so that a float32 σ² scales a result in double precision."""
     # Text and complex values would fail to compare.  float is named first, as the check
     # against the abstract class alone takes ~1 µs, and each trend_variance call pays it.
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
@@ -298,7 +299,7 @@ def _noise_scale(value, what: str):
         finite = False
     if not finite:
         raise ValueError(f"{what} must be finite and non-negative")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _all_finite(values) -> bool:
@@ -548,7 +549,7 @@ def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
 
 def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1.0) -> complex:
     """Noise prediction error second moment σ²(1 + ω'Λω), bilinear form."""
-    _noise_scale(sigma2, "sigma2")
+    sigma2 = _noise_scale(sigma2, "sigma2")
     w = solution.weights
     if corr is None:
         quad = np.dot(w, w)

@@ -195,7 +195,7 @@ def slope(sample: Sample) -> float:
 def constant_mean_variance(n: int, sigma2: float = 1.0) -> float:
     """Trend variance of the constant fit: σ²/n, positive for every finite n."""
     n = _count(n, "n")
-    return _noise_scale(sigma2, "sigma2") / n
+    return float(_noise_scale(sigma2, "sigma2") / n)  # an int or Fraction σ² is divided exactly
 
 
 __all__ = [

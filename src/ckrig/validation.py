@@ -90,7 +90,7 @@ class SimulationConfig:
             object.__setattr__(self, name, tuple(_real_vector(getattr(self, name), name).tolist()))
         if len(self.beta) not in (1, 2):
             raise ValueError("beta must have one (constant) or two (linear) entries")
-        _noise_scale(self.sigma, "sigma")
+        object.__setattr__(self, "sigma", _noise_scale(self.sigma, "sigma"))
         object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
         # Philox's key is 128 bits wide.
         object.__setattr__(self, "seed", _count(self.seed, "seed", low=0, high=2**128))
@@ -192,14 +192,14 @@ def _block_noise(config: SimulationConfig, block: int, rows: int) -> np.ndarray:
         "bit_generator": "Philox", "state": {"counter": (0, 0, block, 0), "key": key},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    shape = (rows, config.n)
+    shape, sigma = (rows, config.n), float(config.sigma)  # an int or Fraction σ, rounded once
     if config.noise_kind == "gaussian":
         noise = rng.standard_normal(shape)
-        noise *= config.sigma  # in place: the same bits as sigma * noise
+        noise *= sigma  # in place: the same bits as sigma * noise
         return noise
     # Uniform on [-a, a) with a = sigma*sqrt(3) has variance sigma^2: -a + 2a·u, the bits of
     # rng.uniform(-a, a), which raises OverflowError once 2a overflows; here the draws overflow.
-    half_width = config.sigma * np.sqrt(3.0)
+    half_width = sigma * np.sqrt(3.0)
     noise = rng.random(shape)
     noise *= 2.0 * half_width
     noise -= half_width

@@ -10,6 +10,7 @@ both oracles to those literals so neither can drift unnoticed.
 
 import decimal
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +127,15 @@ assert _close(_o["wsq_plus"], EXAMPLE_WSQ_PLUS)
 assert _close(_o["var_plus"], EXAMPLE_VAR_PLUS)
 
 
+def _ulps(a: float, b: float) -> int:
+    """How many doubles apart ``a`` and ``b`` are (0.0 and -0.0 are none apart)."""
+    def key(t):
+        i = struct.unpack("<q", struct.pack("<d", t))[0]
+        return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(key(a) - key(b))
+
+
 def _exact_sum(terms):
     """Σ m·2^e over (integer m, integer e) terms, exactly: one integer sum, each m shifted to the
     smallest e, and one ``Fraction`` of it (no gcd per addition)."""
@@ -183,6 +193,37 @@ assert _e["wsq_plus"].imag == -5.43325114306814
 assert _e["var_plus"] == 3.1528128448217627 - 2.7772444892459864j
 assert _e["a_hat"] == -0.07976219965320787
 assert _e["real_se"] == 0.5313888922162836
+
+
+def exact_white_solution(x, v, z):
+    """The linear basis's white-noise solve at the point ``z``, exactly for the given floats: β̂,
+    the multipliers -(F'F)⁻¹f, the weights F(F'F)⁻¹f, the variance factor f'(F'F)⁻¹f and the
+    prediction f'β̂ with f = (1, z), each rounded once.  The 2×2 normal equations are solved in
+    ``Fraction``s of the floats; at a complex z each value is linear in z, kept bilinear (no
+    conjugate) as a pair of real and imaginary ``Fraction``s."""
+    xs, vs = [Fraction(t) for t in x], [Fraction(t) for t in v]
+    n, sx, sxx = len(xs), sum(xs), sum(t * t for t in xs)
+    det = n * sxx - sx * sx  # (F'F)⁻¹ = [[sxx, -sx], [-sx, n]] / det
+    sv, sxv = sum(vs), sum(a * b for a, b in zip(xs, vs))
+    b0, b1 = (sxx * sv - sx * sxv) / det, (n * sxv - sx * sv) / det
+    re, im = Fraction(z.real), Fraction(z.imag)
+    g0 = ((sxx - sx * re) / det, -sx * im / det)  # (F'F)⁻¹f, real and imaginary parts
+    g1 = ((n * re - sx) / det, n * im / det)
+
+    def rounded(pair):
+        return complex(float(pair[0]), float(pair[1]))
+
+    return {
+        "beta_hat": (float(b0), float(b1)),
+        "multipliers": [-rounded(g0), -rounded(g1)],
+        "weights": [rounded((g0[0] + t * g1[0], g0[1] + t * g1[1])) for t in xs],
+        "variance_factor": rounded((g0[0] + re * g1[0] - im * g1[1], g0[1] + re * g1[1] + im * g1[0])),
+        "prediction": rounded((b0 + re * b1, im * b1)),
+    }
+
+
+# Pin the exact white solve to the correctly rounded example coefficients, once, at import.
+assert exact_white_solution(EXAMPLE_X, EXAMPLE_Y, 4.6)["beta_hat"] == (6.512360663859302, -0.07976219965320787)
 
 
 @pytest.fixture(scope="session")

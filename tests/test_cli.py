@@ -688,60 +688,9 @@ def test_table_output_is_aligned(capsys, example_csv_path):
     assert len(offsets) == 1
 
 
-# Runs in a fresh interpreter: records whether scipy is loaded after ``import ckrig`` and
-# after each command, and each command's exit code.
-_SCIPY_PROBE = """
-import contextlib, io, json, sys
-import ckrig
-loaded = {"import ckrig": "scipy" in sys.modules}
-from ckrig.cli import main
-csv, lam, big_csv, big_lam = sys.argv[1:]
-names = {csv: "FILE", lam: "LAM", big_csv: "BIG_FILE", big_lam: "BIG_LAM"}
-for argv in (
-    ["zero-points", csv],
-    ["complex-mean", csv, "--json"],
-    ["fit", csv, "--at", "4.6"],
-    ["simulate", "--replicates", "10"],
-    ["fit", csv, "--at", "4.6", "--lambda", lam],
-    ["fit", big_csv, "--at", "4.6", "--lambda", big_lam],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    loaded[" ".join(names.get(arg, arg) for arg in argv)] = [code, "scipy" in sys.modules]
-print(json.dumps(loaded))
-"""
-
-
 def _identity_lambda_file(path, n):
     path.write_text("\n".join(" ".join(str(float(i == j)) for j in range(n)) for i in range(n)))
     return path
-
-
-def test_scipy_imported_only_for_order_n_solves(example_csv_path, tmp_path):
-    lam_file = _identity_lambda_file(tmp_path / "lam.txt", 11)
-    # One order above numerics._SMALL_ORDER's bound of 64, so the last run must reach LAPACK.
-    big_csv = tmp_path / "big.csv"
-    big_csv.write_text("".join(f"{i / 10!r},{(i * 7) % 13!r}\n" for i in range(100)))
-    big_lam = _identity_lambda_file(tmp_path / "big_lam.txt", 100)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *map(str, (example_csv_path, lam_file, big_csv, big_lam))],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert json.loads(proc.stdout) == {
-        "import ckrig": False,
-        "zero-points FILE": [EXIT_OK, False],
-        "complex-mean FILE --json": [EXIT_OK, False],
-        "fit FILE --at 4.6": [EXIT_OK, False],
-        "simulate --replicates 10": [EXIT_OK, False],
-        # An 11×11 Λ is factored in numpy; only a Λ of order above 64 loads scipy.
-        "fit FILE --at 4.6 --lambda LAM": [EXIT_OK, False],
-        "fit BIG_FILE --at 4.6 --lambda BIG_LAM": [EXIT_OK, True],
-    }
 
 
 def _run_fresh(*argv):
@@ -765,54 +714,85 @@ def test_exit_codes_at_the_process_boundary(example_csv_path, tmp_path):
     assert _run_fresh("-m", "ckrig.cli", "complex-mean", str(equal), "--json").returncode == EXIT_DEGENERATE
 
 
-_ONE_SHOT_PROBE = """
+# Runs in a fresh interpreter: after ``import ckrig`` and after each command, with FILE, LAM,
+# BIG_FILE and BIG_LAM replaced by the first four arguments, records which heavy modules are loaded.
+_PROBE = """
 import contextlib, io, json, sys
+import ckrig
+def loaded():
+    return {name: name in sys.modules for name in ("scipy", "hashlib", "concurrent.futures")}
+record = {"import ckrig": loaded()}
 from ckrig.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["fit", sys.argv[1], "--at", "4.6", "--lambda", sys.argv[2]])
-print(json.dumps([code, "scipy" in sys.modules, "hashlib" in sys.modules]))
+paths = dict(zip(("FILE", "LAM", "BIG_FILE", "BIG_LAM"), sys.argv[1:5]))
+for command in sys.argv[5:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([paths.get(arg, arg) for arg in command.split()])
+    record[command] = {"exit": code, **loaded()}
+print(json.dumps(record))
 """
 
+# The order carries the checks: any simulate loads hashlib, and scipy.linalg.lapack loads concurrent.futures.
+_PROBE_COMMANDS = (
+    "fit FILE --at 4.6 --lambda LAM",
+    "zero-points FILE",
+    "complex-mean FILE --json",
+    "fit FILE --at 4.6",
+    "simulate --replicates 10",
+    "simulate --replicates 1000",
+    "simulate --replicates 10000",
+    "fit BIG_FILE --at 4.6 --lambda BIG_LAM",
+)
 
-def test_one_shot_dense_fit_loads_neither_scipy_nor_hashlib(example_csv_path, tmp_path):
-    # One whitening per process: the kept-Λ⁻¹F slot copies Λ and never digests it.
-    lam_file = _identity_lambda_file(tmp_path / "lam.txt", 11)
-    proc = _run_fresh("-c", _ONE_SHOT_PROBE, str(example_csv_path), str(lam_file))
+
+@pytest.fixture(scope="module")
+def probe_record(tmp_path_factory):
+    """``_PROBE``'s record of ``_PROBE_COMMANDS``, from one fresh interpreter per module."""
+    tmp = tmp_path_factory.mktemp("probe")
+    lam_file = _identity_lambda_file(tmp / "lam.txt", 11)
+    # One order above numerics._SMALL_ORDER's bound of 64, so the last run must reach LAPACK.
+    big_csv = tmp / "big.csv"
+    big_csv.write_text("".join(f"{i / 10!r},{(i * 7) % 13!r}\n" for i in range(100)))
+    big_lam = _identity_lambda_file(tmp / "big_lam.txt", 100)
+    paths = (DATA_DIR / "example.csv", lam_file, big_csv, big_lam)
+    proc = _run_fresh("-c", _PROBE, *map(str, paths), *_PROBE_COMMANDS)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [EXIT_OK, False, False]
+    return json.loads(proc.stdout)
 
 
-
-_ONE_BLOCK_PROBE = """
-import contextlib, io, json, sys
-from ckrig.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["simulate", "--replicates", "1000"])
-print(json.dumps([code, "concurrent.futures" in sys.modules]))
-"""
+def _loaded(record, command, *modules):
+    """``command``'s exit code in the probe's record, then whether each of ``modules`` was loaded."""
+    return [record[command]["exit"], *(record[command][name] for name in modules)]
 
 
-def test_one_block_simulate_loads_no_thread_pool():
+def test_scipy_imported_only_for_order_n_solves(probe_record):
+    assert probe_record["import ckrig"]["scipy"] is False
+    expected = {
+        "zero-points FILE": [EXIT_OK, False],
+        "complex-mean FILE --json": [EXIT_OK, False],
+        "fit FILE --at 4.6": [EXIT_OK, False],
+        "simulate --replicates 10": [EXIT_OK, False],
+        # An 11×11 Λ is factored in numpy; only a Λ of order above 64 loads scipy.
+        "fit FILE --at 4.6 --lambda LAM": [EXIT_OK, False],
+        "fit BIG_FILE --at 4.6 --lambda BIG_LAM": [EXIT_OK, True],
+    }
+    assert {command: _loaded(probe_record, command, "scipy") for command in expected} == expected
+
+
+def test_one_shot_dense_fit_loads_neither_scipy_nor_hashlib(probe_record):
+    # One whitening per process: the kept-Λ⁻¹F slot copies Λ and never digests it.  The fit is the
+    # probe's first command, so its whitening is the process's only one when it is recorded.
+    assert list(probe_record)[1] == "fit FILE --at 4.6 --lambda LAM"
+    assert _loaded(probe_record, "fit FILE --at 4.6 --lambda LAM", "scipy", "hashlib") == [EXIT_OK, False, False]
+
+
+def test_one_block_simulate_loads_no_thread_pool(probe_record):
     # A run of one block is filled inline: the thread pool and its imports are for longer runs.
-    proc = _run_fresh("-c", _ONE_BLOCK_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [EXIT_OK, False]
+    assert _loaded(probe_record, "simulate --replicates 1000", "concurrent.futures") == [EXIT_OK, False]
 
 
-_MULTI_BLOCK_PROBE = """
-import contextlib, io, json, sys
-from ckrig.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["simulate", "--replicates", "10000"])
-print(json.dumps([code, "concurrent.futures" in sys.modules]))
-"""
-
-
-def test_multi_block_simulate_loads_no_executor():
-    # The blocks of a longer run are filled by plain threads, with no executor behind them.
-    proc = _run_fresh("-c", _MULTI_BLOCK_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [EXIT_OK, False]
+def test_multi_block_simulate_loads_no_executor(probe_record):
+    # The blocks of a longer run (three here) are filled by plain threads, with no executor behind them.
+    assert _loaded(probe_record, "simulate --replicates 10000", "concurrent.futures") == [EXIT_OK, False]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

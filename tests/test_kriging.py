@@ -44,7 +44,9 @@ from conftest import (
     EXAMPLE_Y,
     _basis_for,
     _random_correlation,
+    _ulps,
     bad_correlation,
+    exact_white_solution,
 )
 
 
@@ -227,6 +229,15 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             build_design(basis, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
+            feature_vector(basis, 2.0)
+
+    def test_columns_of_equal_length_vectors_rejected(self):
+        # Vectors of one length make a regular array one axis too deep, which only the shape check
+        # catches; a lone vector among numbers already fails the cast.
+        basis = TrendBasis.columns(lambda t: [1.0, t], lambda t: [t, t * t])
+        with pytest.raises(ValueError, match="each basis function must return one number"):
+            build_design(basis, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="each basis function must return one number"):
             feature_vector(basis, 2.0)
 
     def test_columns_numbers_read_as_floats(self):
@@ -1468,6 +1479,34 @@ def test_white_query_bytes_are_pinned(n, k, point_kind):
     assert digest == WHITE_QUERY_DIGESTS[n, k, point_kind]
 
 
+def _parts(values):
+    """The real and imaginary parts of each of ``values`` (real or complex), as Python floats."""
+    return [part for z in np.atleast_1d(np.asarray(values, complex)).tolist() for part in (z.real, z.imag)]
+
+
+@pytest.mark.parametrize("point_kind", ["real", "complex"])
+def test_white_solve_is_accurate_on_every_kernel(point_kind):
+    # The accuracy twin of the linear n = 11 white-query pins, which hold only under one OpenBLAS
+    # kernel.  Under SkylakeX, Haswell, Sandybridge and Nehalem alike, β̂ reads 8 ulps from the exact
+    # solve, the weights 7 and the prediction 20.  At m_n + iσ_n the variance factor is ~1e-17, a
+    # cancellation: it is bounded against the scale of its terms, |g₀| + |z|·|g₁| with g = (F'F)⁻¹f
+    # (at most 0.53 eps of it).
+    point = 4.6 if point_kind == "real" else zero_variance_points(EXAMPLE_X).plus
+    exact = exact_white_solution(EXAMPLE_X, EXAMPLE_Y, complex(point))
+    d = build_design(TrendBasis.linear(), EXAMPLE_X)
+    solution = kriging_weights(d, None, feature_vector(TrendBasis.linear(), point), obs=EXAMPLE_Y)
+    beta = gls_beta(d, None, EXAMPLE_Y).tolist() + solution.beta_hat.tolist()
+    assert max(map(_ulps, beta, 2 * exact["beta_hat"])) <= 16, beta
+    weights = _parts(solution.weights)
+    assert max(map(_ulps, weights, _parts(exact["weights"]))) <= 16, weights
+    prediction = _parts(predict(solution, EXAMPLE_Y))
+    assert max(map(_ulps, prediction, _parts(exact["prediction"]))) <= 32, prediction
+    g0, g1 = (-m for m in exact["multipliers"])
+    scale = abs(g0) + abs(point) * abs(g1)
+    error = solution.variance_factor - exact["variance_factor"]
+    assert max(abs(error.real), abs(error.imag)) <= 4 * np.finfo(float).eps * scale, solution.variance_factor
+
+
 _X = list(EXAMPLE_X)
 _X_TEXT = [str(v) for v in _X]
 _BAD_SAMPLE_VALUES = {
@@ -1634,6 +1673,19 @@ def test_large_ints_in_the_float_range_keep_their_values(value):
     assert config.beta == (1.0, float(value)) and config.sigma == value
     assert solve_spd(np.eye(2), [1, value]).tolist() == [1.0, float(value)]
     assert _same_bits(solve_spd([[value, 0], [0, 1]], [value, 1]), solve_spd([[float(value), 0.0], [0.0, 1.0]], [float(value), 1.0]))
+
+
+@pytest.mark.parametrize("scale", [np.float32(2.0), np.float16(2.0), Fraction(2)], ids=["float32", "float16", "Fraction"])
+def test_noise_scale_is_read_in_double_precision(scale):
+    # σ² is read as a Python number: each result has the bits and type of the call with 2.0.  A
+    # float32 σ² made trend_variance in complex64 (its imaginary part 0.1428571492433548, not 1/7
+    # rounded), and constant_mean_variance returned a float16 or a Fraction.
+    d = build_design(TrendBasis.linear(), [1.0, 2.0, 4.0])
+    solution = kriging_weights(d, None, feature_vector(TrendBasis.linear(), 2.5 + 1j))
+    assert _same_bits(trend_variance(solution, scale), trend_variance(solution, 2.0))
+    assert _same_bits(prediction_error_variance(solution, None, scale), prediction_error_variance(solution, None, 2.0))
+    assert type(constant_mean_variance(3, scale)) is float
+    assert constant_mean_variance(3, scale) == constant_mean_variance(3, 2.0)
 
 
 @pytest.mark.parametrize("entry", ["kriging_weights", "kkt_solve"])

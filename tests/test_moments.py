@@ -1,6 +1,5 @@
 import hashlib
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,7 @@ from ckrig import (
     zero_variance_points,
 )
 from ckrig import moments
-from conftest import EXAMPLE_X, EXAMPLE_Y, exact_oracle, summation_oracle
+from conftest import EXAMPLE_X, EXAMPLE_Y, _ulps, exact_oracle, summation_oracle
 
 
 @st.composite
@@ -150,15 +149,6 @@ class TestComplexMean:
     def test_degenerate_covariates(self):
         with pytest.raises(DegenerateCovariates):
             complex_mean(Sample(covariates=[1.0, 1.0], observations=[1.0, 2.0]))
-
-
-def _ulps(a: float, b: float) -> int:
-    """How many doubles apart ``a`` and ``b`` are (0.0 and -0.0 are none apart)."""
-    def key(t):
-        i = struct.unpack("<q", struct.pack("<d", t))[0]
-        return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
-
-    return abs(key(a) - key(b))
 
 
 def test_complex_variance_is_within_32_ulps_of_the_exact_oracle():

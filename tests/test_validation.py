@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,13 @@ class TestKktSolve:
         d = build_design(TrendBasis.linear(), [5.0, 5.0, 5.0])
         with pytest.raises(SingularSystem):
             kkt_solve(d, None, [1.0, 5.0])
+
+    def test_singular_system_above_the_small_order(self):
+        # Two equal columns over 70 covariates: the bordered system of order 72 goes to LAPACK's
+        # gesv, not numpy's solve, and gesv finds it singular.
+        d = build_design(TrendBasis.columns(lambda t: 1.0, lambda t: 1.0), np.linspace(0.0, 1.0, 70))
+        with pytest.raises(SingularSystem, match="bordered kriging system is singular"):
+            kkt_solve(d, None, [1.0, 1.0])
 
     def test_residual_above_tolerance_singular(self):
         # Two columns 1e-14 apart: the solve succeeds, but its residual (~2.5e-5) fails the check.
@@ -375,6 +383,16 @@ _OFF_ROOT_REPRS = {
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
+    def test_fraction_sigma_draws_as_its_float(self, noise_kind):
+        # σ is read as a double: a Fraction draws the bits of 0.5.  Scaling the Gaussian noise in
+        # place by the Fraction itself raised numpy's UFuncTypeError.
+        base = dict(covariates=EXAMPLE_X, beta=(1.0, 0.5), replicates=100, seed=3, noise_kind=noise_kind)
+        exact, double = SimulationConfig(sigma=Fraction(1, 2), **base), SimulationConfig(sigma=0.5, **base)
+        point = zero_variance_points(EXAMPLE_X).plus
+        assert monte_carlo_mse(exact, point) == monte_carlo_mse(double, point)
+        assert simulate_process(exact, 7).observations.tobytes() == simulate_process(double, 7).observations.tobytes()
+
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_batched_matches_per_replicate_loop(self, noise_kind):
         # Crosses a block boundary; four covariates keep the O(BLOCK^2)
