@@ -10,9 +10,11 @@ plus branch and derives the minus branch as its conjugate.
   file over a few dozen rows): a row-by-row Cholesky in Python floats, a few
   microseconds at k <= 2, sparing the 220–310 ms import of ``scipy.linalg``;
   the golden CLI output pins its bits at k <= 2;
-- larger k (a dense Λ): LAPACK (``dpotrf``/``dpotrs``), the only path that
+- larger k (a dense Λ): LAPACK's ``dpotrf`` and ``dpotrs``, the only path that
   imports scipy, whose blocked factorization the loop cannot approach at large
-  k (and numpy has no triangular solve).  It runs in scipy's own OpenBLAS
+  k (and numpy has no triangular solve).  A complex b is substituted as the
+  float64 columns of its real and imaginary parts, so the real factor is never
+  cast to complex.  It runs in scipy's own OpenBLAS
   (0.3.30 in scipy 1.17.1), not numpy's (0.3.31 in numpy 2.4.6); each library
   has its own threads.
 
@@ -182,12 +184,16 @@ def _cholesky(a: np.ndarray):
 
 def _substitute(factor, b: np.ndarray) -> np.ndarray:
     """The substitution step of ``solve_spd``: x = a⁻¹b from ``factor = _cholesky(a)``, in b's dtype
-    (float64 or complex128).  LAPACK's factor goes to ``dpotrs``; with the loop's, each column of b,
-    as a list of Python numbers, is substituted forward and back alone."""
+    (float64 or complex128).  LAPACK's factor goes to ``dpotrs``, a complex b as the float64
+    columns of its real and imaginary parts (``zpotrs`` would cast the factor to complex); with
+    the loop's, each column of b, as a list of Python numbers, is substituted forward and back alone."""
     if isinstance(factor, np.ndarray):
-        from scipy.linalg import cho_solve
+        from scipy.linalg.lapack import dpotrs
 
-        return cho_solve((factor, False), b, check_finite=False)
+        if b.dtype == np.float64:
+            return dpotrs(factor, b, lower=False)[0]
+        columns = np.ascontiguousarray(b if b.ndim == 2 else b[:, None]).view(np.float64)
+        return np.ascontiguousarray(dpotrs(factor, columns, lower=False)[0]).view(b.dtype).reshape(b.shape)
     lower, recip = factor
     k = len(lower)
     columns = [b.tolist()] if b.ndim == 1 else b.T.tolist()

@@ -139,16 +139,20 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
         lam = _check_correlation(corr, n)
         check_symmetric(lam)
 
-    # Built Fortran-ordered in the solve's dtype, so that LAPACK solves it in place (a cast
-    # or a transposing copy would make a second one), and freed before the residuals are formed.
-    bordered = np.zeros((n + k, n + k), dtype=f.dtype, order="F")
+    # Built real and Fortran-ordered, so that LAPACK solves it in place (a cast or a transposing
+    # copy would make a second one), and freed before the residuals are formed.  A complex f is
+    # solved as two real right-hand sides, its real and imaginary parts.
+    bordered = np.zeros((n + k, n + k), order="F")
     bordered[:n, :n] = lam
     bordered[:n, n:] = F
     bordered[n:, :n] = F.T
-    rhs = np.zeros(n + k, dtype=f.dtype)
-    rhs[n:] = f
+    is_complex = f.dtype.kind == "c"
+    rhs = np.zeros((n + k, 2) if is_complex else n + k, order="F")
+    rhs[n:] = np.column_stack((f.real, f.imag)) if is_complex else f
     solution = _solve_bordered(bordered, rhs)
     del bordered
+    if is_complex:
+        solution = solution[:, 0] + 1j * solution[:, 1]
 
     weights, multipliers = solution[:n], solution[n:]
     # max|Λ| for a finite Λ, with no n×n temporary.
@@ -165,17 +169,16 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
 
 
 def _solve_bordered(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The LU solve of ``kkt_solve``; above ``_SMALL_ORDER`` LAPACK's gesv overwrites ``bordered``
-    and ``rhs``, so no working copy is made, and small systems never import scipy."""
+    """The LU solve of ``kkt_solve``, real; above ``_SMALL_ORDER`` LAPACK's ``dgesv`` overwrites
+    ``bordered`` and ``rhs``, so no working copy is made, and small systems never import scipy."""
     if bordered.shape[0] <= _SMALL_ORDER:
         try:
             return np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("bordered kriging system is singular") from exc
-    from scipy.linalg.lapack import get_lapack_funcs
+    from scipy.linalg.lapack import dgesv
 
-    (gesv,) = get_lapack_funcs(("gesv",), (bordered, rhs))
-    _, _, solution, info = gesv(bordered, rhs, overwrite_a=True, overwrite_b=True)
+    _, _, solution, info = dgesv(bordered, rhs, overwrite_a=True, overwrite_b=True)
     if info > 0:
         raise SingularSystem("bordered kriging system is singular")
     return solution

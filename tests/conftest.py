@@ -1,16 +1,19 @@
-"""Shared test data, the independent summation oracle and the exact oracle.
+"""Shared test data, the independent summation oracle, the exact oracle, and two test helpers.
 
 The summation oracle computes every closed-form statistic by plain Python
 summation, with no numpy and none of the package's solve paths, so it can
 referee them.  The exact oracle evaluates the same statistics exactly for the
 given floats and rounds each once, so it measures their error in ulps.  Key
 values are additionally frozen as literals below; a handful of asserts pin
-both oracles to those literals so neither can drift unnoticed.
+both oracles to those literals so neither can drift unnoticed.  ``traced_peak``
+measures a call's peak traced memory, and ``record_calls`` records the calls of
+a patched function.
 """
 
 import decimal
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +31,34 @@ def empty_whitening_slot():
     kriging._LAST_WHITENING = None
     yield
     kriging._LAST_WHITENING = None
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under tracemalloc: its result and the peak of traced memory in
+    bytes, as ``(result, peak)``.  Tracing stops even if the call raises."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def record_calls(monkeypatch, owner, name, record):
+    """Wrap ``owner.<name>`` for the test: each call appends ``record(*args, **kwargs)`` to the
+    returned list, unless that is None, and then calls through."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        entry = record(*args, **kwargs)
+        if entry is not None:
+            calls.append(entry)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 EXAMPLE_X = (1.7, 2.1, 3.9, 7.2, 8.6, 8.5, 7.3, 5.1, 2.8, 1.8, 1.6)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ckrig import cli, moments
 from ckrig.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, ParseError, main, parse_csv, render_one_decimal
 from ckrig.kriging import Sample, TrendBasis, build_design, gls_beta
-from conftest import DATA_DIR, bad_correlation
+from conftest import DATA_DIR, bad_correlation, record_calls
 
 
 def run_cli(capsys, *argv):
@@ -520,17 +520,7 @@ class TestComplexMeanCommand:
         assert out == golden
 
     def test_one_moment_pass(self, capsys, example_csv_path, monkeypatch):
-        calls = []
-
-        def spy(original):
-            def wrapped(*args, **kwargs):
-                calls.append(1)
-                return original(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(moments, "index_moments", spy(moments.index_moments))
-        monkeypatch.setattr(cli, "index_moments", spy(moments.index_moments), raising=False)
+        calls = record_calls(monkeypatch, moments, "index_moments", lambda covariates: 1)
         code, _, _ = run_cli(capsys, "complex-mean", str(example_csv_path), "--json")
         assert code == EXIT_OK
         assert len(calls) == 1
@@ -590,17 +580,7 @@ class TestZeroPointsCommand:
         assert "no finite spread" in err
 
     def test_one_moment_pass(self, capsys, example_csv_path, monkeypatch):
-        calls = []
-
-        def spy(original):
-            def wrapped(*args, **kwargs):
-                calls.append(1)
-                return original(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(moments, "index_moments", spy(moments.index_moments))
-        monkeypatch.setattr(cli, "index_moments", spy(moments.index_moments), raising=False)
+        calls = record_calls(monkeypatch, moments, "index_moments", lambda covariates: 1)
         code, _, _ = run_cli(capsys, "zero-points", str(example_csv_path), "--json")
         assert code == EXIT_OK
         assert len(calls) == 1

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -47,6 +46,8 @@ from conftest import (
     _ulps,
     bad_correlation,
     exact_white_solution,
+    record_calls,
+    traced_peak,
 )
 
 
@@ -504,12 +505,7 @@ def test_prediction_error_keeps_the_correlation_real(order):
     design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
     lam = np.asarray(_random_correlation(np.random.default_rng(12), n), order=order)
     solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 0.5 + 0.3j))
-    tracemalloc.start()
-    try:
-        got = prediction_error_variance(solution, lam, 2.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(prediction_error_variance, solution, lam, 2.5)
     assert peak < n * n * 8
     w = solution.weights
     expected = 2.5 * (1.0 + np.dot(w, lam.astype(complex) @ w))
@@ -543,17 +539,9 @@ def test_prediction_error_warns_of_an_overflowing_correlation_product():
     assert got == complex(math.inf, 0.0)
 
 
-def _spy_scans(monkeypatch):
-    """Record the shape of each matrix that ``numerics.check_symmetric`` scans."""
-    scans = []
-    original = numerics.check_symmetric
-    monkeypatch.setattr(numerics, "check_symmetric", lambda a: scans.append(a.shape) or original(a))
-    return scans
-
-
 @pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
 def test_dense_correlation_scanned_once(call, monkeypatch):
-    calls = _spy_scans(monkeypatch)
+    calls = record_calls(monkeypatch, numerics, "check_symmetric", np.shape)
     d = build_design(TrendBasis.linear(), EXAMPLE_X)
     lam = _random_correlation(np.random.default_rng(3), 11)
     if call == "gls_beta":
@@ -567,7 +555,7 @@ def test_dense_correlation_scanned_once(call, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("call", ["gls_beta", "real", "complex"])
 def test_white_gram_is_never_scanned(k, call, monkeypatch):
-    scans = _spy_scans(monkeypatch)
+    scans = record_calls(monkeypatch, numerics, "check_symmetric", np.shape)
     d = build_design(_basis_for(k), EXAMPLE_X)
     if call == "gls_beta":
         gls_beta(d, None, EXAMPLE_Y)
@@ -579,7 +567,7 @@ def test_white_gram_is_never_scanned(k, call, monkeypatch):
 
 @pytest.mark.parametrize("call", ["complex_variance", "monte_carlo_mse"])
 def test_white_moments_and_monte_carlo_scan_nothing(call, monkeypatch):
-    scans = _spy_scans(monkeypatch)
+    scans = record_calls(monkeypatch, numerics, "check_symmetric", np.shape)
     if call == "complex_variance":
         complex_variance(Sample(covariates=EXAMPLE_X, observations=EXAMPLE_Y))
     else:
@@ -600,21 +588,8 @@ def test_overflowed_gram_fails_the_pivot_guard(k, dense):
     assert type(err.value.__cause__) is numerics.NotPositiveDefinite
 
 
-def _spy_gram(monkeypatch):
-    """Record, per call of ``kriging._gram``, whether it formed a white-noise Gram matrix (F'F)."""
-    calls = []
-    original = kriging._gram
-
-    def spy(F, lam_inv_F):
-        calls.append(lam_inv_F is F)
-        return original(F, lam_inv_F)
-
-    monkeypatch.setattr(kriging, "_gram", spy)
-    return calls
-
-
 def test_white_gram_formed_once_per_design(monkeypatch):
-    calls = _spy_gram(monkeypatch)
+    calls = record_calls(monkeypatch, kriging, "_gram", lambda F, lam_inv_F: lam_inv_F is F)  # True: a white F'F
     d = build_design(TrendBasis.linear(), EXAMPLE_X)
     for point in (4.6, 1.0, 4.6 + 2.7j, 4.6 - 2.7j, 9.0):
         kriging_weights(d, None, feature_vector(TrendBasis.linear(), point), obs=EXAMPLE_Y)
@@ -626,7 +601,7 @@ def test_white_gram_formed_once_per_design(monkeypatch):
 
 @pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
 def test_dense_query_never_forms_white_gram(call, monkeypatch):
-    calls = _spy_gram(monkeypatch)
+    calls = record_calls(monkeypatch, kriging, "_gram", lambda F, lam_inv_F: lam_inv_F is F)  # True: a white F'F
     d = build_design(TrendBasis.linear(), EXAMPLE_X)
     lam = _random_correlation(np.random.default_rng(3), 11)
     for _ in range(3):
@@ -638,22 +613,9 @@ def test_dense_query_never_forms_white_gram(call, monkeypatch):
     assert "_white_system" not in vars(d)
 
 
-def _spy_gram_factor(monkeypatch):
-    """Record the order of each Gram matrix that ``kriging`` factors."""
-    orders = []
-    original = kriging._cholesky
-
-    def spy(gram):
-        orders.append(gram.shape[0])
-        return original(gram)
-
-    monkeypatch.setattr(kriging, "_cholesky", spy)
-    return orders
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_white_gram_factored_once_per_design(k, monkeypatch):
-    orders = _spy_gram_factor(monkeypatch)
+    orders = record_calls(monkeypatch, kriging, "_cholesky", len)  # each Gram factor's order
     basis = _basis_for(k)
     d = build_design(basis, EXAMPLE_X)
     points = (4.6, 1.0, 4.6 + 2.7j, 4.6 - 2.7j) if k < 3 else (4.6, 1.0, 9.0)
@@ -671,7 +633,7 @@ def test_white_gram_factored_once_per_design(k, monkeypatch):
 @pytest.mark.parametrize("call", ["gls_beta", "kriging_weights"])
 def test_dense_query_factors_its_gram_once(call, monkeypatch):
     # The Λ solve goes through kriging.solve_spd, not kriging._cholesky; only Gram factors count.
-    orders = _spy_gram_factor(monkeypatch)
+    orders = record_calls(monkeypatch, kriging, "_cholesky", len)  # each Gram factor's order
     d = build_design(TrendBasis.linear(), EXAMPLE_X)
     lam = _random_correlation(np.random.default_rng(3), 11)
     for _ in range(3):
@@ -742,12 +704,7 @@ def test_complex_point_query_makes_no_complex_copy_of_the_system(n):
     for point in (0.5, 0.5 + 1.3j):
         f = feature_vector(TrendBasis.linear(), point)
         kriging_weights(design, None, f, obs=y)  # forms the design's Gram factor
-        tracemalloc.start()
-        try:
-            got = kriging_weights(design, None, f, obs=y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(kriging_weights, design, None, f, obs=y)
         assert _same_bits(got.weights, design.F @ -got.multipliers)
         if n == 100_000:
             assert peak < (n * design.k * 16 if isinstance(point, complex) else n * 8 + (1 << 16))
@@ -758,12 +715,7 @@ def test_linear_design_is_written_in_place():
     # must keep the values and layout of the stacked columns; no BLAS call is involved.
     n = 100_000
     x = np.linspace(-4.0, 4.0, n)
-    tracemalloc.start()
-    try:
-        F = build_design(TrendBasis.linear(), x).F
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    F, peak = traced_peak(lambda: build_design(TrendBasis.linear(), x).F)
     assert peak < n * 16 + (1 << 16), peak
     assert F.flags.c_contiguous and F.dtype == np.float64 and not F.flags.writeable
     assert _same_bits(F, np.column_stack([np.ones(n), x]))
@@ -802,18 +754,9 @@ class TestWhitenedDesignSlot:
         return self._query(x, lam, 1)
 
     @staticmethod
-    def _spy(monkeypatch, module, name, n=None):
-        """Record the shape of the first argument of each call of ``module.<name>``, of order n if given."""
-        calls = []
-        original = getattr(module, name)
-
-        def spy(a, *rest):
-            if n is None or a.shape == (n, n):
-                calls.append(a.shape)
-            return original(a, *rest)
-
-        monkeypatch.setattr(module, name, spy)
-        return calls
+    def _order(n):
+        """A ``record_calls`` record: the shape of a call's first argument, if it is n×n."""
+        return lambda a, *rest: a.shape if a.shape == (n, n) else None
 
     def test_one_shot_whitening_keeps_a_copy(self, n):
         x, lam = self._case(n)
@@ -825,8 +768,8 @@ class TestWhitenedDesignSlot:
 
     def test_equal_copy_is_not_scanned_again(self, n, monkeypatch):
         x, lam = self._case(n)
-        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
-        solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+        scans = record_calls(monkeypatch, numerics, "check_symmetric", self._order(n))
+        solves = record_calls(monkeypatch, kriging, "solve_spd", self._order(n))
         first = self._query(x, lam, 1)
         second = self._query(x.copy(), lam.copy(), 1)
         assert scans == solves == [(n, n)]
@@ -840,7 +783,7 @@ class TestWhitenedDesignSlot:
         x, lam = self._case(n)
         first = self._kept(x, lam)
         lam[0, 1] = lam[1, 0] = 0.5 * lam[0, 1]
-        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        scans = record_calls(monkeypatch, numerics, "check_symmetric", self._order(n))
         edited = self._query(x, lam, 1)
         assert scans == [(n, n)]
         assert not np.array_equal(edited, first)
@@ -854,8 +797,8 @@ class TestWhitenedDesignSlot:
         for kept_as, asked_as in [(lam, lam_f), (lam_f, lam)]:
             kriging._LAST_WHITENING = None
             self._kept(x, kept_as)
-            scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
-            solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+            scans = record_calls(monkeypatch, numerics, "check_symmetric", self._order(n))
+            solves = record_calls(monkeypatch, kriging, "solve_spd", self._order(n))
             got = self._query(x, asked_as, 1)
             assert scans == solves == []
             monkeypatch.undo()
@@ -868,7 +811,7 @@ class TestWhitenedDesignSlot:
         lam[0, 1] = lam[1, 0] = 0.0
         self._kept(x, lam)
         lam[0, 1] = lam[1, 0] = -0.0
-        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
+        scans = record_calls(monkeypatch, numerics, "check_symmetric", self._order(n))
         edited = self._query(x, lam, 1)
         assert scans == [(n, n)]
         assert _same_bits(edited, self._slot_free(x, lam))
@@ -878,9 +821,7 @@ class TestWhitenedDesignSlot:
         x, lam = self._case(n)
         self._kept(x, lam)
         kept = weakref.ref(kriging._LAST_WHITENING[0])
-        held_at_solve = []
-        solve = kriging.solve_spd
-        monkeypatch.setattr(kriging, "solve_spd", lambda a, b: held_at_solve.append(kept() is not None) or solve(a, b))
+        held_at_solve = record_calls(monkeypatch, kriging, "solve_spd", lambda a, b: kept() is not None)
         other = _random_correlation(np.random.default_rng(n + 1), n)
         self._query(x, other, 1)
         assert held_at_solve and not any(held_at_solve)
@@ -944,8 +885,8 @@ class TestWhitenedDesignSlot:
         view = self._case(2 * n)[1][::2, ::2]
         assert not view.flags.c_contiguous and not view.flags.f_contiguous
         self._query(x, view, 0)
-        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
-        solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+        scans = record_calls(monkeypatch, numerics, "check_symmetric", self._order(n))
+        solves = record_calls(monkeypatch, kriging, "solve_spd", self._order(n))
         got = self._query(x, view, 1)
         assert scans == solves == []
         monkeypatch.undo()
@@ -960,8 +901,8 @@ class TestWhitenedDesignSlot:
         first = kriging_weights(design, lam, feature).weights
         kept = kriging._LAST_WHITENING
         F[:] = 0.0
-        scans = self._spy(monkeypatch, numerics, "check_symmetric", n)
-        solves = self._spy(monkeypatch, kriging, "solve_spd", n)
+        scans = record_calls(monkeypatch, numerics, "check_symmetric", self._order(n))
+        solves = record_calls(monkeypatch, kriging, "solve_spd", self._order(n))
         got = kriging_weights(design, lam, feature).weights
         assert scans == solves == []
         assert kriging._LAST_WHITENING is kept
@@ -1014,11 +955,9 @@ def test_same_bits_takes_memcmp_for_a_lambda_in_one_memory_order(kept_as, asked_
     n = 200
     x, lam = TestWhitenedDesignSlot._case(n)
     TestWhitenedDesignSlot._query(x, _in_layout(lam, kept_as), 0)
-    compared = []
-    memcmp = kriging._memcmp
-    assert memcmp is not None, "the C library's memcmp is not bound"
-    monkeypatch.setattr(kriging, "_memcmp", lambda a, b, size: compared.append(size) or memcmp(a, b, size))
-    solves = TestWhitenedDesignSlot._spy(monkeypatch, kriging, "solve_spd", n)
+    assert kriging._memcmp is not None, "the C library's memcmp is not bound"
+    compared = record_calls(monkeypatch, kriging, "_memcmp", lambda a, b, size: size)
+    solves = record_calls(monkeypatch, kriging, "solve_spd", TestWhitenedDesignSlot._order(n))
     got = TestWhitenedDesignSlot._query(x, _in_layout(lam, asked_as), 1)
     assert solves == []
     assert compared.count(n * n * 8) == (kept_as == asked_as)
@@ -1046,12 +985,7 @@ def test_same_bits_memory(kept_as, asked_as, bound, monkeypatch):
     else:
         x = _in_layout(a, asked_as)
     del a
-    tracemalloc.start()
-    try:
-        same = kriging._same_bits(kept, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    same, peak = traced_peak(kriging._same_bits, kept, x)
     assert same
     assert peak < 1 << 16 if bound and kept_as == asked_as else peak <= n * n + (1 << 16)
 
@@ -1142,12 +1076,7 @@ def test_wrong_shaped_correlation_rejected(path):
 def test_correlation_check_makes_no_matrix_sized_temporary():
     # Finiteness is left to the tiled symmetry scan, which makes no n×n temporary.
     lam = np.eye(2000)
-    tracemalloc.start()
-    try:
-        _check_correlation(lam, 2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_check_correlation, lam, 2000)
     assert peak < 1 << 20
 
 
@@ -1709,14 +1638,7 @@ def test_fraction_feature_is_read_as_floats(entry):
 def test_white_condition_is_taken_once_per_design(monkeypatch):
     # The equilibrated condition of a k = 3 design is an SVD (np.linalg.cond); it is kept next to
     # the white factor and re-reported on every query.
-    calls = []
-    original = kriging._condition
-
-    def spy(gram):
-        calls.append(gram.shape[0])
-        return original(gram)
-
-    monkeypatch.setattr(kriging, "_condition", spy)
+    calls = record_calls(monkeypatch, kriging, "_condition", len)  # each Gram matrix's order
     basis = _basis_for(3)
     d = build_design(basis, EXAMPLE_X)
     for point in (4.6, 1.0, 9.0):

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from ckrig import (
     zero_variance_points,
 )
 from ckrig import moments
-from conftest import EXAMPLE_X, EXAMPLE_Y, _ulps, exact_oracle, summation_oracle
+from conftest import EXAMPLE_X, EXAMPLE_Y, _ulps, exact_oracle, record_calls, summation_oracle, traced_peak
 
 
 @st.composite
@@ -484,12 +483,7 @@ def test_complex_variance_frees_its_design_before_squaring():
     # a complex-point product stay.  Holding F as well peaks near 3·n·16 + the buffer.
     n = 100_000
     sample = _moment_sample(n)  # fresh: the moment pass runs in the traced call
-    tracemalloc.start()
-    try:
-        complex_variance(sample)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(complex_variance, sample)
     assert peak < 2 * n * 16 + (1 << 20), peak
 
 
@@ -509,25 +503,12 @@ def test_complex_variance_reads_the_bits_of_its_plain_sums(n):
     assert np.asarray(stats.real_se).tobytes() == np.asarray(real_standard_error(sample)).tobytes()
 
 
-def _spy_moment_pass(monkeypatch):
-    """Record the Sample of each moment pass: a pass starts with the covariate moments."""
-    calls = []
-    original = moments._nondegenerate_moments
-
-    def spy(covariates):
-        calls.append(covariates)
-        return original(covariates)
-
-    monkeypatch.setattr(moments, "_nondegenerate_moments", spy)
-    return calls
-
-
 def _the_four(sample):
     return complex_mean(sample), complex_variance(sample), slope(sample), imaginary_standard_error(sample)
 
 
 def test_one_moment_pass_per_sample(monkeypatch):
-    calls = _spy_moment_pass(monkeypatch)
+    calls = record_calls(monkeypatch, moments, "_nondegenerate_moments", lambda covariates: covariates)
     x = np.array(EXAMPLE_X)
     first, second = Sample(x, 2.0 * x), Sample(x, 2.0 * x)
     for sample in (first, second, first, second):
@@ -538,7 +519,7 @@ def test_one_moment_pass_per_sample(monkeypatch):
 
 
 def test_degenerate_sample_raises_on_every_call(monkeypatch):
-    calls = _spy_moment_pass(monkeypatch)
+    calls = record_calls(monkeypatch, moments, "_nondegenerate_moments", lambda covariates: covariates)
     sample = Sample([3.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
     for call in (complex_mean, complex_variance, slope, imaginary_standard_error) * 2:
         with pytest.raises(DegenerateCovariates):

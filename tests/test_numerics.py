@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,8 @@ from ckrig.numerics import (
     check_symmetric,
     solve_spd,
 )
+
+from conftest import record_calls, traced_peak
 
 
 def _random_spd(n):
@@ -311,6 +312,29 @@ class TestSolveSpd:
             for j in range(3):
                 assert x[:, j].tobytes() == solve_spd(a, b[:, j]).tobytes(), (k, j)
 
+    @pytest.mark.parametrize("shape", [(300,), (300, 3), (300, 0)], ids=["1d", "2d", "no-columns"])
+    def test_complex_right_hand_side_keeps_the_factor_real(self, shape):
+        # Above _SMALL_ORDER a complex b is solved as the float64 columns of its real and imaginary
+        # parts: zpotrs would cast the n×n factor to complex, n²·16 bytes more.  A real b keeps the
+        # bits of cho_solve on _cholesky's factor; either b may be Fortran-ordered.
+        from scipy.linalg import cho_solve
+
+        n = shape[0]
+        a = _random_spd(n)
+        rng = np.random.default_rng(n)
+        real = rng.normal(size=shape)
+        b = real + 1j * rng.normal(size=shape)
+        solve_spd(a, b)  # imports scipy.linalg before tracing starts
+        x, peak = traced_peak(solve_spd, a, b)
+        assert peak < 1.1 * n * n * 8
+        factor = numerics._cholesky(a)
+        want = cho_solve((factor, False), b, check_finite=False)
+        assert x.dtype == np.complex128 and x.shape == shape
+        assert np.max(np.abs(x - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+        assert solve_spd(a, np.asfortranarray(b)).tobytes() == x.tobytes()
+        for rhs in (real, np.asfortranarray(real)):
+            assert solve_spd(a, rhs).tobytes() == cho_solve((factor, False), rhs, check_finite=False).tobytes()
+
     @pytest.mark.parametrize("k", [2, 65])
     def test_no_right_hand_side_columns(self, k):
         x = solve_spd(_random_spd(k), np.ones((k, 0)))
@@ -371,9 +395,7 @@ def test_solve_keeps_nothing(monkeypatch):
     k = 65
     a = _random_spd(k)
     b = np.random.default_rng(k).normal(size=(k, 2))
-    scans = []
-    original = numerics.check_symmetric
-    monkeypatch.setattr(numerics, "check_symmetric", lambda m: scans.append(m.shape) or original(m))
+    scans = record_calls(monkeypatch, numerics, "check_symmetric", np.shape)
     first = solve_spd(a, b)
     for calls in (2, 3):
         again = solve_spd(a, b)
@@ -384,9 +406,7 @@ def test_solve_keeps_nothing(monkeypatch):
 @pytest.mark.parametrize("k", [2, 11, 65])
 def test_solve_scans_its_matrix_and_the_factor_step_does_not(k, monkeypatch):
     a = _random_spd(k)
-    scans = []
-    original = numerics.check_symmetric
-    monkeypatch.setattr(numerics, "check_symmetric", lambda m: scans.append(m.shape) or original(m))
+    scans = record_calls(monkeypatch, numerics, "check_symmetric", np.shape)
     for calls in (1, 2):
         solve_spd(a, np.ones(k))
         assert scans == [(k, k)] * calls
@@ -445,9 +465,7 @@ class TestSolveMemo:
             a[0, 0] += 1.0
         else:
             b[0] += 1.0
-        scans = []
-        original = numerics.check_symmetric
-        monkeypatch.setattr(numerics, "check_symmetric", lambda m: scans.append(m.shape) or original(m))
+        scans = record_calls(monkeypatch, numerics, "check_symmetric", np.shape)
         x = solve_spd(a, b)
         assert scans == [(k, k)]
         assert not np.array_equal(x, first)
@@ -563,12 +581,7 @@ def test_check_symmetric_agrees_with_rule(n, base):
 
 def test_check_symmetric_makes_no_matrix_sized_temporary():
     a = np.eye(1000)
-    tracemalloc.start()
-    try:
-        check_symmetric(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(check_symmetric, a)
     assert peak < 1 << 20
 
 

@@ -29,7 +29,7 @@ from ckrig import (
 )
 from ckrig import validation
 from ckrig.validation import BLOCK
-from conftest import EXAMPLE_X, _basis_for, _random_correlation
+from conftest import EXAMPLE_X, _basis_for, _random_correlation, record_calls, traced_peak
 
 
 class TestKktSolve:
@@ -73,9 +73,7 @@ class TestKktSolve:
             kkt_solve(d, None, [1.0])
 
     def test_only_a_given_correlation_is_scanned(self, monkeypatch):
-        scans = []
-        original = validation.check_symmetric
-        monkeypatch.setattr(validation, "check_symmetric", lambda a: scans.append(a.shape) or original(a))
+        scans = record_calls(monkeypatch, validation, "check_symmetric", np.shape)
         d = build_design(TrendBasis.linear(), EXAMPLE_X)
         kkt_solve(d, None, [1.0, 4.6])
         assert scans == []
@@ -103,21 +101,30 @@ def test_oracle_equivalence_randomized():
 
 @pytest.mark.parametrize("kind", [float, complex])
 def test_kkt_solve_makes_one_bordered_copy(kind):
-    # The bordered matrix is built once, in the solve's dtype, solved in place by LAPACK's gesv
-    # (no working copy, traced or not), and freed before the residual check makes its own
-    # matrix-sized temporary.
+    # The bordered matrix is built once, real, solved in place by LAPACK's dgesv (no working copy,
+    # traced or not), and freed before the residual check makes its own matrix-sized temporary.
     n = 300
     design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
     corr = _random_correlation(np.random.default_rng(8), n)
     f = np.array([1.0, 0.5], dtype=kind)
     kkt_solve(design, corr, f)  # imports scipy.linalg before tracing starts
-    tracemalloc.start()
-    try:
-        kkt_solve(design, corr, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(kkt_solve, design, corr, f)
     assert peak < 1.25 * (n + 2) ** 2 * np.dtype(kind).itemsize
+
+
+def test_kkt_solve_keeps_a_complex_feature_real():
+    # A complex f is two real right-hand sides of the real bordered matrix, which a complex one
+    # would double to (n+k)²·16 bytes; the weights still agree with the closed form.
+    n = 300
+    design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
+    corr = _random_correlation(np.random.default_rng(8), n)
+    f = feature_vector(TrendBasis.linear(), 0.5 + 0.3j)
+    kkt_solve(design, corr, f)  # imports scipy.linalg before tracing starts
+    (weights, multipliers), peak = traced_peak(kkt_solve, design, corr, f)
+    assert peak < 1.25 * (n + 2) ** 2 * 8
+    closed = kriging_weights(design, corr, f)
+    assert np.max(np.abs(weights - closed.weights)) <= 1e-9
+    assert np.max(np.abs(multipliers - closed.multipliers)) <= 1e-9
 
 
 def test_kkt_residual_keeps_the_correlation_real(monkeypatch):
@@ -135,12 +142,7 @@ def test_kkt_residual_keeps_the_correlation_real(monkeypatch):
         return x
 
     monkeypatch.setattr(validation, "_solve_bordered", solve_then_clear_traces)
-    tracemalloc.start()
-    try:
-        kkt_solve(design, corr, feature_vector(TrendBasis.linear(), 0.5 + 0.3j))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: kkt_solve(design, corr, feature_vector(TrendBasis.linear(), 0.5 + 0.3j)))
     assert peak < n * n * 8
 
 
@@ -191,9 +193,7 @@ def test_block_noise_is_the_jumped_philox_stream(seed, noise_kind):
 
 def test_a_thread_builds_one_generator_for_all_its_blocks(monkeypatch):
     # Building a Philox draws an OS-entropy seed; a thread builds one and sets its state per block.
-    built = []
-    philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(threading.current_thread()) or philox(*a, **kw))
+    built = record_calls(monkeypatch, np.random, "Philox", lambda *a, **kw: threading.current_thread())
     _fill_with(monkeypatch, 1)
     cfg = _acceptance_config(8 * BLOCK, 11, "uniform")
     point = zero_variance_points(cfg.covariates).plus
@@ -705,10 +705,7 @@ class TestConcurrentFill:
         assert started == []
 
     def _thread_starts(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-        return started
+        return record_calls(monkeypatch, threading.Thread, "start", lambda thread: thread)
 
     @pytest.mark.parametrize("noise_kind", ["gaussian", "uniform"])
     def test_no_thread_outlives_a_multi_block_call(self, monkeypatch, noise_kind):
