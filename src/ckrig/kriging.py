@@ -18,6 +18,11 @@ its first call only; a repeat is confirmed by comparing every entry's bits
 with the kept ones (one C ``memcmp`` when Λ has the copy's strides, else one
 numpy compare), and the copy of Λ holds n²·8 bytes until another Λ arrives.
 
+A solution holds O(k) state: g = (F'Λ⁻¹F)⁻¹f, the multipliers -g and a reference to
+the kept, read-only Λ⁻¹F, not its n weights Λ⁻¹F·g.  The weights are formed on the first
+read of ``KrigingSolution.weights`` and kept; ``predict`` and ``prediction_error_variance``
+form them into a temporary when none are kept, so a grid of solutions holds no n-sized array.
+
 Evaluation points may be complex.  A complex point's weights, the real Λ⁻¹F times a complex
 vector, are formed in blocks of rows through one reused complex buffer, with the bits of the
 plain product and no n×k complex copy of the system.  Every quadratic form in this module is
@@ -179,12 +184,52 @@ class KrigingSolution:
     constraint; ``variance_factor`` is the bilinear quadratic f'(F'Λ⁻¹F)⁻¹f
     whose product with the noise variance is the trend variance.
     ``beta_hat`` is filled when observations were supplied to the solver.
+
+    A solution from ``kriging_weights`` holds g = (F'Λ⁻¹F)⁻¹f and a reference
+    to the read-only Λ⁻¹F of its query, not n weights: the weights Λ⁻¹F·g are
+    formed on the first read of ``weights``, kept, and returned by every later
+    read, writeable and the caller's.  Weights given to the constructor are
+    kept as given.  ``predict`` and ``prediction_error_variance`` use kept
+    weights, and otherwise form them into a temporary that they do not keep.
     """
 
     weights: np.ndarray
     multipliers: np.ndarray
     variance_factor: complex
     beta_hat: Optional[np.ndarray] = None
+
+    @classmethod
+    def _deferred(cls, system: np.ndarray, g: np.ndarray, variance_factor: complex, beta_hat) -> "KrigingSolution":
+        """The solution whose weights are ``system @ g``, formed when first read; ``g`` is held by no one else."""
+        solution = object.__new__(cls)
+        vars(solution).update(
+            multipliers=-g, variance_factor=variance_factor, beta_hat=beta_hat, _system=system, _g=g
+        )
+        return solution
+
+
+def _weights_now(solution: KrigingSolution) -> np.ndarray:
+    """The solution's kept weights, or, when none are kept yet, the weights formed into a temporary."""
+    state = vars(solution)
+    return state["_weights"] if "_weights" in state else _system_times(state["_system"], state["_g"])
+
+
+def _kept_weights(solution: KrigingSolution) -> np.ndarray:
+    state = vars(solution)
+    if "_weights" not in state:
+        # setdefault: of two racing first reads, one array is kept and both return it.
+        state.setdefault("_weights", _weights_now(solution))
+    return state["_weights"]
+
+
+def _set_weights(solution: KrigingSolution, weights) -> None:
+    # Reached only from the dataclass's __init__: its frozen __setattr__ stops every other assignment.
+    vars(solution)["_weights"] = weights
+
+
+# Set past the decorator, which would read a property in the class body as the field's default; the
+# field stays in __init__, repr, eq and ``dataclasses.fields``.
+KrigingSolution.weights = property(_kept_weights, _set_weights)
 
 
 def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
@@ -500,6 +545,7 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
     may be complex, in which case weights and multipliers are complex and the
     prediction is the analytic continuation of the real predictor; complex
     weights are formed in blocks of rows, with no complex copy of the system.
+    The solution forms its weights when they are first read (``KrigingSolution``).
 
     Parameters
     ----------
@@ -517,14 +563,10 @@ def kriging_weights(design: DesignMatrix, corr, feature, obs=None) -> KrigingSol
 
     gram_inv_f = _substitute(factor, f)
     _warn_if_ill_conditioned(cond)
-    weights = _system_times(lam_inv_F, gram_inv_f)
-    multipliers = -gram_inv_f
-    variance_factor = complex(f @ gram_inv_f)
-
-    return KrigingSolution(
-        weights=weights,
-        multipliers=multipliers,
-        variance_factor=variance_factor,
+    return KrigingSolution._deferred(
+        lam_inv_F,
+        gram_inv_f,
+        variance_factor=complex(f @ gram_inv_f),
         beta_hat=None if obs is None else _substitute(factor, _weigh_observations(lam_inv_F.T, obs)),
     )
 
@@ -535,7 +577,7 @@ def predict(solution: KrigingSolution, obs) -> complex:
     Equals the trend fit evaluated at the feature vector, f'β̂, up to solve
     accuracy.
     """
-    return complex(_weigh_observations(solution.weights, obs))
+    return complex(_weigh_observations(_weights_now(solution), obs))
 
 
 def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
@@ -550,7 +592,7 @@ def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
 def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1.0) -> complex:
     """Noise prediction error second moment σ²(1 + ω'Λω), bilinear form."""
     sigma2 = _noise_scale(sigma2, "sigma2")
-    w = solution.weights
+    w = _weights_now(solution)
     if corr is None:
         quad = np.dot(w, w)
     else:

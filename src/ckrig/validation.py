@@ -133,9 +133,10 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     F = design.F
     n, k = F.shape
     f = _feature_values(feature, k)
-    if corr is None:
-        lam = np.eye(n)
-    else:
+    # White noise is Λ = I, written as the unit diagonal of the bordered matrix and read as Λω = ω
+    # in the residual: no n×n identity is made.
+    lam = None
+    if corr is not None:
         lam = _check_correlation(corr, n)
         check_symmetric(lam)
 
@@ -143,7 +144,10 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     # copy would make a second one), and freed before the residuals are formed.  A complex f is
     # solved as two real right-hand sides, its real and imaginary parts.
     bordered = np.zeros((n + k, n + k), order="F")
-    bordered[:n, :n] = lam
+    if lam is None:
+        np.fill_diagonal(bordered[:n, :n], 1.0)
+    else:
+        bordered[:n, :n] = lam
     bordered[:n, n:] = F
     bordered[n:, :n] = F.T
     is_complex = f.dtype.kind == "c"
@@ -155,9 +159,13 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
         solution = solution[:, 0] + 1j * solution[:, 1]
 
     weights, multipliers = solution[:n], solution[n:]
-    # max|Λ| for a finite Λ, with no n×n temporary.
-    scale = max(1.0, float(np.max(np.abs(f))), float(lam.max()), -float(lam.min()))
-    lam_weights = _real_matrix_times(lam, weights)
+    scale = max(1.0, float(np.max(np.abs(f))))
+    if lam is None:
+        lam_weights = weights
+    else:
+        # max|Λ| for a finite Λ, with no n×n temporary.
+        scale = max(scale, float(lam.max()), -float(lam.min()))
+        lam_weights = _real_matrix_times(lam, weights)
     stationarity = np.max(np.abs(lam_weights + F @ multipliers))
     unbiasedness = np.max(np.abs(F.T @ weights - f))
     if max(stationarity, unbiasedness) > KKT_RESIDUAL_TOL * scale:

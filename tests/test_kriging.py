@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -708,6 +709,88 @@ def test_complex_point_query_makes_no_complex_copy_of_the_system(n):
         assert _same_bits(got.weights, design.F @ -got.multipliers)
         if n == 100_000:
             assert peak < (n * design.k * 16 if isinstance(point, complex) else n * 8 + (1 << 16))
+
+
+class TestOnDemandWeights:
+    """A solution keeps k numbers and forms its n weights when they are read."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def white(self):
+        x = np.linspace(-4.0, 4.0, self.N)
+        design = build_design(TrendBasis.linear(), x)
+        return design, np.sin(x)
+
+    def test_a_grid_of_solutions_retains_no_weights(self, white):
+        # Stored weights would take 8 × 0.8 MB (real points) plus 8 × 1.6 MB (complex points).
+        design, y = white
+        grid = np.linspace(-3.0, 3.0, 8)
+        features = [feature_vector(TrendBasis.linear(), z) for z in np.concatenate([grid, grid + 1.5j]).tolist()]
+        kriging_weights(design, None, features[0], obs=y)  # forms the design's Gram factor
+        tracemalloc.start()
+        try:
+            solutions = [kriging_weights(design, None, f, obs=y) for f in features]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(solutions) == 16 and retained < 256 * 1024
+
+    @pytest.mark.parametrize("point", [0.5, 0.5 + 1.3j])
+    def test_weights_are_formed_once(self, white, point):
+        design, y = white
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), point), obs=y)
+        weights = solution.weights
+        assert _same_bits(weights, design.F @ -solution.multipliers)
+        assert solution.weights is weights and weights.flags.writeable
+
+    @pytest.mark.parametrize("point", [0.5, 0.5 + 1.3j])
+    @pytest.mark.parametrize("call", ["predict", "prediction_error_variance"])
+    def test_a_reading_call_keeps_nothing(self, white, point, call):
+        design, y = white
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), point), obs=y)
+        read = (lambda: predict(solution, y)) if call == "predict" else (lambda: prediction_error_variance(solution, None, 0.7))
+        read()  # warms every cache the call may have
+        tracemalloc.start()
+        try:
+            got = read()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096
+        w = solution.weights
+        want = complex(np.dot(w, y)) if call == "predict" else complex(0.7 * (1.0 + np.dot(w, w)))
+        assert _same_bits(np.array(got), np.array(want))
+
+    def test_writing_to_the_multipliers_leaves_the_weights(self, white):
+        design, y = white
+        f = feature_vector(TrendBasis.linear(), 0.5 + 1.3j)
+        solution = kriging_weights(design, None, f, obs=y)
+        solution.multipliers[:] = 0.0
+        assert _same_bits(solution.weights, kriging_weights(design, None, f).weights)
+
+    @pytest.mark.parametrize("made", ["solved", "read", "given"])
+    def test_attributes_stay_read_only(self, made):
+        if made == "given":
+            solution = kriging.KrigingSolution(np.ones(3), np.zeros(2), 0j)
+        else:
+            solution = kriging_weights(build_design(TrendBasis.linear(), EXAMPLE_X), None, [1.0, 4.6], obs=EXAMPLE_Y)
+            if made == "read":
+                solution.weights
+        for name in ("weights", "multipliers", "variance_factor", "beta_hat"):
+            with pytest.raises(AttributeError):
+                setattr(solution, name, None)
+            with pytest.raises(AttributeError):
+                delattr(solution, name)
+
+    def test_the_constructor_returns_the_given_weights(self):
+        weights, multipliers = np.array([0.25, 0.75]), np.array([-0.5])
+        positional = kriging.KrigingSolution(weights, multipliers, 0.5 + 0j, None)
+        keyword = kriging.KrigingSolution(weights=weights, multipliers=multipliers, variance_factor=0.5 + 0j)
+        for solution in (positional, keyword):
+            assert solution.weights is weights and solution.multipliers is multipliers
+            assert solution.variance_factor == 0.5 and solution.beta_hat is None
+        assert predict(positional, [2.0, 4.0]) == 3.5
 
 
 def test_linear_design_is_written_in_place():

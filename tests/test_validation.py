@@ -127,6 +127,32 @@ def test_kkt_solve_keeps_a_complex_feature_real():
     assert np.max(np.abs(multipliers - closed.multipliers)) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", [float, complex])
+def test_white_kkt_solve_makes_no_identity(kind):
+    # White noise is the bordered matrix's unit diagonal and Λω = ω in the residual, so the white
+    # referee peaks as a dense one does: at its one bordered matrix, with no n×n identity beside it.
+    n = 1000
+    design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
+    f = np.array([1.0, 0.5 + 0.3j] if kind is complex else [1.0, 0.5])
+    kkt_solve(design, None, f)  # imports scipy.linalg before tracing starts
+    (weights, multipliers), peak = traced_peak(kkt_solve, design, None, f)
+    assert peak < 1.25 * (n + 2) ** 2 * 8
+    closed = kriging_weights(design, None, f)
+    assert np.max(np.abs(weights - closed.weights)) <= 1e-9
+    assert np.max(np.abs(multipliers - closed.multipliers)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [11, 300, 1000])
+@pytest.mark.parametrize("point", [0.5, 0.5 + 0.3j])
+def test_white_kkt_solve_has_the_bits_of_an_identity_correlation(n, point):
+    # The bordered matrix is the same either way, so the solve, and every bit of its result, is too.
+    design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
+    f = feature_vector(TrendBasis.linear(), point)
+    white, identity = kkt_solve(design, None, f), kkt_solve(design, np.eye(n), f)
+    for got, want in zip(white, identity):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_kkt_residual_keeps_the_correlation_real(monkeypatch):
     # A complex ω meets the real Λ as Λ·Re ω and Λ·Im ω; Λ @ ω would cast Λ to an n×n
     # complex temporary.  Tracing starts afresh when the bordered solve returns, so the
