@@ -20,8 +20,12 @@ numpy compare), and the copy of Λ holds n²·8 bytes until another Λ arrives.
 
 A solution holds O(k) state: g = (F'Λ⁻¹F)⁻¹f, the multipliers -g and a reference to
 the kept, read-only Λ⁻¹F, not its n weights Λ⁻¹F·g.  The weights are formed on the first
-read of ``KrigingSolution.weights`` and kept; ``predict`` and ``prediction_error_variance``
-form them into a temporary when none are kept, so a grid of solutions holds no n-sized array.
+read of ``KrigingSolution.weights`` and kept in place of that reference; ``predict`` and
+``prediction_error_variance`` form them into a temporary when none are kept.  So solutions
+kept past a ``predict`` with their weights never read, a grid of predictions, hold no n-sized
+array; a caller that applies one solution to many observation vectors reads ``weights`` once,
+or every call forms the weights again (at n = 10^5 ~0.2 ms at a real point and ~2 ms at a
+complex one, where the product alone takes ~0.02 and ~0.17 ms).
 
 Evaluation points may be complex.  A complex point's weights, the real Λ⁻¹F times a complex
 vector, are formed in blocks of rows through one reused complex buffer, with the bits of the
@@ -188,9 +192,11 @@ class KrigingSolution:
     A solution from ``kriging_weights`` holds g = (F'Λ⁻¹F)⁻¹f and a reference
     to the read-only Λ⁻¹F of its query, not n weights: the weights Λ⁻¹F·g are
     formed on the first read of ``weights``, kept, and returned by every later
-    read, writeable and the caller's.  Weights given to the constructor are
-    kept as given.  ``predict`` and ``prediction_error_variance`` use kept
-    weights, and otherwise form them into a temporary that they do not keep.
+    read, writeable and the caller's; the solution then drops its reference to
+    Λ⁻¹F.  Weights given to the constructor are kept as given.  ``predict`` and
+    ``prediction_error_variance`` use kept weights, and otherwise form them into
+    a temporary that they do not keep: read ``weights`` once before applying one
+    solution many times.
     """
 
     weights: np.ndarray
@@ -202,24 +208,26 @@ class KrigingSolution:
     def _deferred(cls, system: np.ndarray, g: np.ndarray, variance_factor: complex, beta_hat) -> "KrigingSolution":
         """The solution whose weights are ``system @ g``, formed when first read; ``g`` is held by no one else."""
         solution = object.__new__(cls)
-        vars(solution).update(
-            multipliers=-g, variance_factor=variance_factor, beta_hat=beta_hat, _system=system, _g=g
-        )
+        vars(solution).update(multipliers=-g, variance_factor=variance_factor, beta_hat=beta_hat, _pending=(system, g))
         return solution
 
 
-def _weights_now(solution: KrigingSolution) -> np.ndarray:
-    """The solution's kept weights, or, when none are kept yet, the weights formed into a temporary."""
-    state = vars(solution)
-    return state["_weights"] if "_weights" in state else _system_times(state["_system"], state["_g"])
+def _solution_weights(solution: KrigingSolution, keep: bool) -> np.ndarray:
+    """The solution's weights: the kept ones, else ``system @ g``, kept when ``keep`` and otherwise a temporary.
 
-
-def _kept_weights(solution: KrigingSolution) -> np.ndarray:
+    Keeping drops the pending (system, g), so a read solution pins n weights and no n×k system.  The
+    weights are stored before the pair is dropped: a racing read that finds no pair finds them.
+    """
     state = vars(solution)
-    if "_weights" not in state:
+    pending = state.get("_pending")
+    if pending is None:
+        return state["_weights"]
+    weights = _system_times(*pending)
+    if keep:
         # setdefault: of two racing first reads, one array is kept and both return it.
-        state.setdefault("_weights", _weights_now(solution))
-    return state["_weights"]
+        weights = state.setdefault("_weights", weights)
+        state.pop("_pending", None)
+    return weights
 
 
 def _set_weights(solution: KrigingSolution, weights) -> None:
@@ -229,7 +237,7 @@ def _set_weights(solution: KrigingSolution, weights) -> None:
 
 # Set past the decorator, which would read a property in the class body as the field's default; the
 # field stays in __init__, repr, eq and ``dataclasses.fields``.
-KrigingSolution.weights = property(_kept_weights, _set_weights)
+KrigingSolution.weights = property(lambda solution: _solution_weights(solution, keep=True), _set_weights)
 
 
 def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
@@ -575,9 +583,12 @@ def predict(solution: KrigingSolution, obs) -> complex:
     """Apply the kriging weights to the observations.
 
     Equals the trend fit evaluated at the feature vector, f'β̂, up to solve
-    accuracy.
+    accuracy.  Uses the solution's kept weights; a solution whose ``weights``
+    were never read has them formed into a temporary on every call, an O(nk)
+    pass, so read ``solution.weights`` once before predicting many observation
+    vectors.
     """
-    return complex(_weigh_observations(_weights_now(solution), obs))
+    return complex(_weigh_observations(_solution_weights(solution, keep=False), obs))
 
 
 def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
@@ -590,9 +601,12 @@ def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
 
 
 def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1.0) -> complex:
-    """Noise prediction error second moment σ²(1 + ω'Λω), bilinear form."""
+    """Noise prediction error second moment σ²(1 + ω'Λω), bilinear form.
+
+    Forms unread weights into a temporary, as ``predict`` does.
+    """
     sigma2 = _noise_scale(sigma2, "sigma2")
-    w = _weights_now(solution)
+    w = _solution_weights(solution, keep=False)
     if corr is None:
         quad = np.dot(w, w)
     else:

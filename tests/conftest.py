@@ -36,13 +36,25 @@ def empty_whitening_slot():
 def traced_peak(call, *args, **kwargs):
     """``call(*args, **kwargs)`` under tracemalloc: its result and the peak of traced memory in
     bytes, as ``(result, peak)``.  Tracing stops even if the call raises."""
+    result, _, peak = _traced(call, args, kwargs)
+    return result, peak
+
+
+def traced_retained(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under tracemalloc: its result and the traced memory still held when
+    it returns, in bytes, as ``(result, retained)``.  Tracing stops even if the call raises."""
+    result, retained, _ = _traced(call, args, kwargs)
+    return result, retained
+
+
+def _traced(call, args, kwargs):
     tracemalloc.start()
     try:
         result = call(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, current, peak
 
 
 def record_calls(monkeypatch, owner, name, record):

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -49,6 +48,7 @@ from conftest import (
     exact_white_solution,
     record_calls,
     traced_peak,
+    traced_retained,
 )
 
 
@@ -728,12 +728,7 @@ class TestOnDemandWeights:
         grid = np.linspace(-3.0, 3.0, 8)
         features = [feature_vector(TrendBasis.linear(), z) for z in np.concatenate([grid, grid + 1.5j]).tolist()]
         kriging_weights(design, None, features[0], obs=y)  # forms the design's Gram factor
-        tracemalloc.start()
-        try:
-            solutions = [kriging_weights(design, None, f, obs=y) for f in features]
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        solutions, retained = traced_retained(lambda: [kriging_weights(design, None, f, obs=y) for f in features])
         assert len(solutions) == 16 and retained < 256 * 1024
 
     @pytest.mark.parametrize("point", [0.5, 0.5 + 1.3j])
@@ -751,16 +746,43 @@ class TestOnDemandWeights:
         solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), point), obs=y)
         read = (lambda: predict(solution, y)) if call == "predict" else (lambda: prediction_error_variance(solution, None, 0.7))
         read()  # warms every cache the call may have
-        tracemalloc.start()
-        try:
-            got = read()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        got, retained = traced_retained(read)
         assert retained < 4096
         w = solution.weights
         want = complex(np.dot(w, y)) if call == "predict" else complex(0.7 * (1.0 + np.dot(w, w)))
         assert _same_bits(np.array(got), np.array(want))
+
+    @pytest.mark.parametrize("point", [0.5, 0.5 + 1.3j])
+    def test_a_read_solution_predicts_without_forming_weights(self, white, point):
+        # Reading ``weights`` once keeps them, so each later ``predict`` is one dot product: at a
+        # real point it allocates nothing n-sized, at a complex one only its complex cast of the
+        # observations, n·16 bytes.
+        design, y = white
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), point), obs=y)
+        weights = solution.weights
+        got, peak = traced_peak(predict, solution, y)
+        assert peak < (self.N * 16 if isinstance(point, complex) else 0) + 4096
+        assert solution.weights is weights and got == complex(np.dot(weights, y))
+
+    @pytest.mark.parametrize("noise", ["white", "dense"])
+    def test_a_read_solution_keeps_no_system(self, noise):
+        # Until its weights are read a solution holds the n×k system, F or the dense Λ⁻¹F; once they
+        # are kept it holds n weights and lets the system go with its design or its Λ.
+        n, rng = 300, np.random.default_rng(7)
+        design = build_design(TrendBasis.linear(), np.linspace(-4.0, 4.0, n))
+        lam = None if noise == "white" else _random_correlation(rng, n)
+        f = feature_vector(TrendBasis.linear(), 0.5 + 1.3j)
+        unread, read = kriging_weights(design, lam, f), kriging_weights(design, lam, f)
+        weights = read.weights
+        system = weakref.ref(design.F if lam is None else kriging._LAST_WHITENING[2])
+        if lam is None:
+            del design
+        else:
+            kriging_weights(design, _random_correlation(rng, n), f)  # evicts the kept Λ⁻¹F
+        assert system() is not None
+        del unread
+        assert system() is None
+        assert read.weights is weights
 
     def test_writing_to_the_multipliers_leaves_the_weights(self, white):
         design, y = white
