@@ -82,12 +82,15 @@ def parse_csv(text: str) -> Sample:
     a first row with a cell that is not a float literal."""
     reader = csv.reader(io.StringIO(text))
     rows, line = [], 1
-    for row in reader:
-        cells = [cell.strip() for cell in row]
-        if any(cells):
-            rows.append((line, cells))
-        # A quoted cell may span lines: the next record starts after this one's last line.
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if any(cells):
+                rows.append((line, cells))
+            # A quoted cell may span lines: the next record starts after this one's last line.
+            line = reader.line_num + 1
+    except csv.Error as exc:  # e.g. an unbalanced quote that runs past the field size limit
+        raise ParseError(f"malformed record: {exc}", row=line, col=1) from None
     if not rows:
         raise ParseError("empty input", row=1, col=1)
 

@@ -18,14 +18,8 @@ its first call only; a repeat is confirmed by comparing every entry's bits
 with the kept ones (one C ``memcmp`` when Λ has the copy's strides, else one
 numpy compare), and the copy of Λ holds n²·8 bytes until another Λ arrives.
 
-A solution holds O(k) state: g = (F'Λ⁻¹F)⁻¹f, the multipliers -g and a reference to
-the kept, read-only Λ⁻¹F, not its n weights Λ⁻¹F·g.  The weights are formed on the first
-read of ``KrigingSolution.weights`` and kept in place of that reference; ``predict`` and
-``prediction_error_variance`` form them into a temporary when none are kept.  So solutions
-kept past a ``predict`` with their weights never read, a grid of predictions, hold no n-sized
-array; a caller that applies one solution to many observation vectors reads ``weights`` once,
-or every call forms the weights again (at n = 10^5 ~0.2 ms at a real point and ~2 ms at a
-complex one, where the product alone takes ~0.02 and ~0.17 ms).
+A solution holds O(k) state, g = (F'Λ⁻¹F)⁻¹f, the multipliers -g and a reference to the kept,
+read-only Λ⁻¹F, until its n weights Λ⁻¹F·g are first read (``KrigingSolution``).
 
 Evaluation points may be complex.  A complex point's weights, the real Λ⁻¹F times a complex
 vector, are formed in blocks of rows through one reused complex buffer, with the bits of the
@@ -190,13 +184,12 @@ class KrigingSolution:
     ``beta_hat`` is filled when observations were supplied to the solver.
 
     A solution from ``kriging_weights`` holds g = (F'Λ⁻¹F)⁻¹f and a reference
-    to the read-only Λ⁻¹F of its query, not n weights: the weights Λ⁻¹F·g are
-    formed on the first read of ``weights``, kept, and returned by every later
-    read, writeable and the caller's; the solution then drops its reference to
-    Λ⁻¹F.  Weights given to the constructor are kept as given.  ``predict`` and
-    ``prediction_error_variance`` use kept weights, and otherwise form them into
-    a temporary that they do not keep: read ``weights`` once before applying one
-    solution many times.
+    to the read-only Λ⁻¹F of its query, not n weights.  The first read of
+    ``weights`` forms Λ⁻¹F·g, keeps it as the ``weights`` field, writeable and
+    the caller's, and drops the reference; weights given to the constructor are
+    kept as given.  ``predict`` and ``prediction_error_variance`` use kept
+    weights, and otherwise form a temporary that they do not keep: read
+    ``weights`` once before applying one solution many times.
     """
 
     weights: np.ndarray
@@ -211,33 +204,22 @@ class KrigingSolution:
         vars(solution).update(multipliers=-g, variance_factor=variance_factor, beta_hat=beta_hat, _pending=(system, g))
         return solution
 
-
-def _solution_weights(solution: KrigingSolution, keep: bool) -> np.ndarray:
-    """The solution's weights: the kept ones, else ``system @ g``, kept when ``keep`` and otherwise a temporary.
-
-    Keeping drops the pending (system, g), so a read solution pins n weights and no n×k system.  The
-    weights are stored before the pair is dropped: a racing read that finds no pair finds them.
-    """
-    state = vars(solution)
-    pending = state.get("_pending")
-    if pending is None:
-        return state["_weights"]
-    weights = _system_times(*pending)
-    if keep:
-        # setdefault: of two racing first reads, one array is kept and both return it.
-        weights = state.setdefault("_weights", weights)
-        state.pop("_pending", None)
-    return weights
+    def __getattr__(self, name):
+        # Reached only for a name missing from the instance: an unread solution's ``weights``, or a
+        # name that raises.  The weights are stored before the pending pair is dropped, so a racing
+        # read that finds no pair finds them; of two racing first reads, setdefault keeps one array.
+        pending = vars(self).get("_pending") if name == "weights" else None
+        if pending is None:
+            return object.__getattribute__(self, name)
+        weights = vars(self).setdefault("weights", _system_times(*pending))
+        vars(self).pop("_pending", None)
+        return weights
 
 
-def _set_weights(solution: KrigingSolution, weights) -> None:
-    # Reached only from the dataclass's __init__: its frozen __setattr__ stops every other assignment.
-    vars(solution)["_weights"] = weights
-
-
-# Set past the decorator, which would read a property in the class body as the field's default; the
-# field stays in __init__, repr, eq and ``dataclasses.fields``.
-KrigingSolution.weights = property(lambda solution: _solution_weights(solution, keep=True), _set_weights)
+def _read_weights(solution: KrigingSolution) -> np.ndarray:
+    """The kept weights as numbers (``numerics._numeric_array``), else a temporary that is not kept."""
+    pending = vars(solution).get("_pending")
+    return _numeric_array(solution.weights, "weights") if pending is None else _system_times(*pending)
 
 
 def build_design(basis: TrendBasis, covariates) -> DesignMatrix:
@@ -588,7 +570,7 @@ def predict(solution: KrigingSolution, obs) -> complex:
     pass, so read ``solution.weights`` once before predicting many observation
     vectors.
     """
-    return complex(_weigh_observations(_solution_weights(solution, keep=False), obs))
+    return complex(_weigh_observations(_read_weights(solution), obs))
 
 
 def trend_variance(solution: KrigingSolution, sigma2: float = 1.0) -> complex:
@@ -606,7 +588,7 @@ def prediction_error_variance(solution: KrigingSolution, corr, sigma2: float = 1
     Forms unread weights into a temporary, as ``predict`` does.
     """
     sigma2 = _noise_scale(sigma2, "sigma2")
-    w = _solution_weights(solution, keep=False)
+    w = _read_weights(solution)
     if corr is None:
         quad = np.dot(w, w)
     else:

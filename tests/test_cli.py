@@ -225,6 +225,18 @@ class TestFitCommand:
         assert code == EXIT_INPUT
         assert "row 2" in err
 
+    @pytest.mark.parametrize("rows", [200, 20_000])
+    def test_unbalanced_quote_exits_2(self, capsys, tmp_path, rows):
+        # In a long file the open quote runs past csv's field size limit (131072 characters), and
+        # the reader raises csv.Error at the record that starts on row 4.
+        lines = ["x,v", *(f"{i}.0,{i}.5" for i in range(rows))]
+        lines[3] = '"' + lines[3]
+        p = tmp_path / "quote.csv"
+        p.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "complex-mean", str(p), "--json")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: row 4, column 1: ")
+
     def test_lambda_identity_file_matches_default(self, capsys, example_csv_path, tmp_path):
         lam_file = tmp_path / "lam.txt"
         lam_file.write_text("\n".join(" ".join(str(float(i == j)) for j in range(11)) for i in range(11)))

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
+import threading
 import warnings
 import weakref
 from fractions import Fraction
@@ -813,6 +817,81 @@ class TestOnDemandWeights:
             assert solution.weights is weights and solution.multipliers is multipliers
             assert solution.variance_factor == 0.5 and solution.beta_hat is None
         assert predict(positional, [2.0, 4.0]) == 3.5
+
+
+    @pytest.mark.parametrize("point", [0.5, 0.5 + 1.3j])
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_a_copy_of_an_unread_solution_forms_the_same_weights(self, white, how, point):
+        design, y = white
+        f = feature_vector(TrendBasis.linear(), point)
+        unread = kriging_weights(design, None, f, obs=y)
+        copied = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda s: pickle.loads(pickle.dumps(s))}[how](unread)
+        assert _same_bits(copied.weights, kriging_weights(design, None, f).weights)
+        for name in ("multipliers", "variance_factor", "beta_hat"):
+            assert _same_bits(getattr(copied, name), getattr(unread, name))
+        assert "_pending" in vars(unread) and "weights" not in vars(unread)
+
+    def test_replace_reads_the_weights_it_copies(self, white):
+        # ``dataclasses.replace`` passes every field's value to the constructor, so it reads the
+        # weights: the original keeps them, and the new solution holds the same array.
+        design, y = white
+        f = feature_vector(TrendBasis.linear(), 0.5 + 1.3j)
+        unread = kriging_weights(design, None, f, obs=y)
+        replaced = dataclasses.replace(unread, beta_hat=None)
+        assert _same_bits(replaced.weights, kriging_weights(design, None, f).weights)
+        assert replaced.weights is unread.weights and replaced.beta_hat is None
+        assert _same_bits(replaced.multipliers, unread.multipliers)
+
+    def test_looking_up_other_names_forms_no_weights(self, white):
+        design, y = white
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 0.5 + 1.3j), obs=y)
+        got, retained = traced_retained(lambda: (getattr(solution, "missing", None), hasattr(solution, "__deepcopy__")))
+        assert got == (None, False) and retained < 4096
+        with pytest.raises(AttributeError, match="missing"):
+            solution.missing
+        assert "_pending" in vars(solution) and "weights" not in vars(solution)
+
+    def test_two_racing_first_reads_keep_one_array(self, white, monkeypatch):
+        # Both threads form the weights before either keeps them: the barrier holds each in
+        # ``_system_times`` until the other has arrived.
+        design, y = white
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 0.5 + 1.3j), obs=y)
+        barrier, system_times = threading.Barrier(2, timeout=30), kriging._system_times
+
+        def form_together(A, g):
+            weights = system_times(A, g)
+            barrier.wait()
+            return weights
+
+        monkeypatch.setattr(kriging, "_system_times", form_together)
+        read = [None, None]
+        threads = [threading.Thread(target=lambda i=i: read.__setitem__(i, solution.weights)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert read[0] is read[1] is solution.weights and "_pending" not in vars(solution)
+        assert _same_bits(read[0], design.F @ -solution.multipliers)
+
+    @pytest.mark.parametrize("as_given", [list, tuple])
+    @pytest.mark.parametrize("point", [0.5, 0.5 + 1.3j])
+    def test_given_weights_are_read_by_the_number_rule(self, as_given, point):
+        design = build_design(TrendBasis.linear(), EXAMPLE_X)
+        read = kriging_weights(design, None, feature_vector(TrendBasis.linear(), point))
+        given = kriging.KrigingSolution(as_given(read.weights.tolist()), read.multipliers, read.variance_factor)
+        lam = _random_correlation(np.random.default_rng(3), design.n)
+        for corr in (None, lam):
+            want = prediction_error_variance(read, corr, 0.7)
+            assert _same_bits(np.array(prediction_error_variance(given, corr, 0.7)), np.array(want))
+        assert _same_bits(np.array(predict(given, EXAMPLE_Y)), np.array(predict(read, EXAMPLE_Y)))
+
+    def test_text_weights_are_rejected(self):
+        solution = kriging.KrigingSolution(["0.5", "0.5"], np.zeros(1), 0j)
+        with pytest.raises(ValueError, match="must be numeric, not text"):
+            predict(solution, [1.0, 2.0])
+        for corr in (None, np.eye(2)):
+            with pytest.raises(ValueError, match="must be numeric, not text"):
+                prediction_error_variance(solution, corr)
 
 
 def test_linear_design_is_written_in_place():
