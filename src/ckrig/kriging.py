@@ -173,7 +173,7 @@ class DesignMatrix:
         return self.F.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrigingSolution:
     """Weights, multipliers and the variance quadratic for one evaluation point.
 
@@ -189,10 +189,12 @@ class KrigingSolution:
     the caller's, and drops the reference; weights given to the constructor are
     kept as given.  ``predict`` and ``prediction_error_variance`` use kept
     weights, and otherwise form a temporary that they do not keep: read
-    ``weights`` once before applying one solution many times.
+    ``weights`` once before applying one solution many times.  A solution
+    equals only itself and hashes by identity, and its ``repr`` leaves the
+    weights out, so neither forms them.
     """
 
-    weights: np.ndarray
+    weights: np.ndarray = field(repr=False)
     multipliers: np.ndarray
     variance_factor: complex
     beta_hat: Optional[np.ndarray] = None

@@ -23,9 +23,12 @@ then a substitution step, ``_substitute``: ``kriging`` keeps each design's
 white-noise Gram factor, and the Λ⁻¹F and Gram factor that its dense queries
 repeat.  Both paths read the lower triangle, and both add the relative pivot
 guard that LAPACK lacks.  The package's one rule for a matrix's entries,
-``check_symmetric`` (finite, symmetric within ``SYMMETRY_RTOL``, scanned in square
-tiles with no temporary of the matrix's size), runs in ``solve_spd``, not in
-``_cholesky``: a Gram matrix that ``kriging`` symmetrizes is factored unscanned.
+``check_symmetric``, runs in ``solve_spd``, not in ``_cholesky``: a Gram matrix
+that ``kriging`` symmetrizes is factored unscanned.  It takes max|a| from two
+reductions, ``a.max()`` and ``a.min()``, which a non-finite entry makes
+non-finite, then scans the asymmetry in square tiles; neither step makes a
+temporary of the matrix's size.  It returns max|a|, the scale of
+``validation.kkt_solve``'s residual check.
 """
 
 from __future__ import annotations
@@ -69,30 +72,27 @@ class ConjugatePair:
         return self.plus.conjugate()
 
 
-def check_symmetric(a: np.ndarray) -> None:
-    """Raise ValueError unless square ``a`` is finite and max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a|.
+def check_symmetric(a: np.ndarray) -> float:
+    """Raise ValueError unless square ``a`` is finite and max|a - aᵀ| <= ``SYMMETRY_RTOL`` · max|a|; return max|a|.
 
-    The matrix is scanned in ``_TILE``-square tiles, each upper tile
-    ``a[I, J]`` against ``a[J, I]ᵀ`` with both scales in the same pass, so
-    the scan makes no temporary larger than a tile; a non-finite scale
-    raises before the tiles are subtracted.
+    max|a| is ``max(a.max(), -a.min())``, two reductions that make no
+    temporary; any NaN or infinity makes it non-finite, which raises before
+    the asymmetry is scanned.  That scan subtracts each upper tile
+    ``a[I, J]`` and ``a[J, I]ᵀ`` in ``_TILE``-square tiles, so it makes no
+    temporary larger than a tile.
     """
+    scale = max(float(a.max()), -float(a.min()))
+    if not math.isfinite(scale):
+        raise ValueError("matrix must be finite")
     n = a.shape[0]
-    diff = scale = 0.0
+    diff = 0.0
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
-            upper = a[i : i + _TILE, j : j + _TILE]
-            lower = a[j : j + _TILE, i : i + _TILE].T
-            tile_scale = np.max(np.abs(upper))
-            if j > i:
-                # np.maximum keeps a NaN in either place; Python's max drops it in the second.
-                tile_scale = np.maximum(tile_scale, np.max(np.abs(lower)))
-            if not np.isfinite(tile_scale):
-                raise ValueError("matrix must be finite")
-            scale = max(scale, float(tile_scale))
-            diff = max(diff, float(np.max(np.abs(upper - lower))))
+            tile = a[i : i + _TILE, j : j + _TILE] - a[j : j + _TILE, i : i + _TILE].T
+            diff = max(diff, float(tile.max()), -float(tile.min()))
     if diff > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
+    return scale
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -107,9 +107,10 @@ def solve_spd(a, b) -> np.ndarray:
     Parameters
     ----------
     a : (k, k) array_like, real, finite and symmetric within ``SYMMETRY_RTOL``
-        relative (``check_symmetric``, a tiled scan that makes no k×k
-        temporary).  The factorization reads only the lower triangle, at every
-        order; the scan has checked every upper entry against its mirror.
+        relative (``check_symmetric``: two reductions and a tiled scan, with
+        no k×k temporary).  The factorization reads only the lower triangle,
+        at every order; the scan has checked every upper entry against its
+        mirror.
     b : (k,) or (k, m) array_like, real or complex
 
     Returns

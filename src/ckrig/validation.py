@@ -135,10 +135,10 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
     f = _feature_values(feature, k)
     # White noise is Λ = I, written as the unit diagonal of the bordered matrix and read as Λω = ω
     # in the residual: no n×n identity is made.
-    lam = None
+    lam, lam_scale = None, 0.0
     if corr is not None:
         lam = _check_correlation(corr, n)
-        check_symmetric(lam)
+        lam_scale = check_symmetric(lam)
 
     # Built real and Fortran-ordered, so that LAPACK solves it in place (a cast or a transposing
     # copy would make a second one), and freed before the residuals are formed.  A complex f is
@@ -159,13 +159,8 @@ def kkt_solve(design: DesignMatrix, corr, feature) -> tuple[np.ndarray, np.ndarr
         solution = solution[:, 0] + 1j * solution[:, 1]
 
     weights, multipliers = solution[:n], solution[n:]
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if lam is None:
-        lam_weights = weights
-    else:
-        # max|Λ| for a finite Λ, with no n×n temporary.
-        scale = max(scale, float(lam.max()), -float(lam.min()))
-        lam_weights = _real_matrix_times(lam, weights)
+    scale = max(1.0, float(np.max(np.abs(f))), lam_scale)
+    lam_weights = weights if lam is None else _real_matrix_times(lam, weights)
     stationarity = np.max(np.abs(lam_weights + F @ multipliers))
     unbiasedness = np.max(np.abs(F.T @ weights - f))
     if max(stationarity, unbiasedness) > KKT_RESIDUAL_TOL * scale:

@@ -238,30 +238,49 @@ assert _e["a_hat"] == -0.07976219965320787
 assert _e["real_se"] == 0.5313888922162836
 
 
-def exact_white_solution(x, v, z):
-    """The linear basis's white-noise solve at the point ``z``, exactly for the given floats: β̂,
-    the multipliers -(F'F)⁻¹f, the weights F(F'F)⁻¹f, the variance factor f'(F'F)⁻¹f and the
-    prediction f'β̂ with f = (1, z), each rounded once.  The 2×2 normal equations are solved in
-    ``Fraction``s of the floats; at a complex z each value is linear in z, kept bilinear (no
-    conjugate) as a pair of real and imaginary ``Fraction``s."""
-    xs, vs = [Fraction(t) for t in x], [Fraction(t) for t in v]
-    n, sx, sxx = len(xs), sum(xs), sum(t * t for t in xs)
-    det = n * sxx - sx * sx  # (F'F)⁻¹ = [[sxx, -sx], [-sx, n]] / det
-    sv, sxv = sum(vs), sum(a * b for a, b in zip(xs, vs))
-    b0, b1 = (sxx * sv - sx * sxv) / det, (n * sxv - sx * sv) / det
-    re, im = Fraction(z.real), Fraction(z.imag)
-    g0 = ((sxx - sx * re) / det, -sx * im / det)  # (F'F)⁻¹f, real and imaginary parts
-    g1 = ((n * re - sx) / det, n * im / det)
+def _exact_solve(a, b):
+    """x with a·x = b, for a nonsingular square matrix and a vector of ``Fraction``s, by
+    Gauss–Jordan elimination."""
+    rows = [row + [entry] for row, entry in zip(a, b)]
+    k = len(rows)
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [e - rows[r][c] * ec for e, ec in zip(rows[r], rows[c])]
+    return [row[k] for row in rows]
 
-    def rounded(pair):
-        return complex(float(pair[0]), float(pair[1]))
+
+def exact_white_solution(x, v, z, k=2):
+    """The white-noise solve of ``_basis_for(k)`` (k ≤ 3) at the point ``z``, exactly for the given
+    floats: β̂, the multipliers -(F'F)⁻¹f, the weights F(F'F)⁻¹f, the variance factor f'(F'F)⁻¹f and
+    the prediction f'β̂, each rounded once.  F's rows are (1, t, t·t)[:k] and f is (1, z, z·z)[:k],
+    each entry the float that the basis, or a complex z's own product, gives; the k×k normal
+    equations are solved in ``Fraction``s of those floats (``_exact_solve``).  At a complex z each
+    value is linear in f, kept bilinear (no conjugate) as a pair of real and imaginary ``Fraction``s."""
+    z = complex(z)
+    F = [[Fraction(c) for c in (1.0, t, t * t)[:k]] for t in x]
+    f = [complex(c) for c in (1.0, z, z * z)[:k]]
+    gram = [[sum(row[i] * row[j] for row in F) for j in range(k)] for i in range(k)]
+    beta = _exact_solve(gram, [sum(row[i] * Fraction(b) for row, b in zip(F, v)) for i in range(k)])
+    g_re = _exact_solve(gram, [Fraction(c.real) for c in f])  # (F'F)⁻¹f, real and imaginary parts
+    g_im = _exact_solve(gram, [Fraction(c.imag) for c in f])
+    f_re, f_im = [Fraction(c.real) for c in f], [Fraction(c.imag) for c in f]
+
+    def dot(a, b):
+        return sum(p * q for p, q in zip(a, b))
+
+    def rounded(re, im):
+        return complex(float(re), float(im))
 
     return {
-        "beta_hat": (float(b0), float(b1)),
-        "multipliers": [-rounded(g0), -rounded(g1)],
-        "weights": [rounded((g0[0] + t * g1[0], g0[1] + t * g1[1])) for t in xs],
-        "variance_factor": rounded((g0[0] + re * g1[0] - im * g1[1], g0[1] + re * g1[1] + im * g1[0])),
-        "prediction": rounded((b0 + re * b1, im * b1)),
+        "beta_hat": tuple(map(float, beta)),
+        "multipliers": [-rounded(a, b) for a, b in zip(g_re, g_im)],
+        "weights": [rounded(dot(row, g_re), dot(row, g_im)) for row in F],
+        "variance_factor": rounded(dot(f_re, g_re) - dot(f_im, g_im), dot(f_re, g_im) + dot(f_im, g_re)),
+        "prediction": rounded(dot(f_re, beta), dot(f_im, beta)),
     }
 
 

@@ -893,6 +893,28 @@ class TestOnDemandWeights:
             with pytest.raises(ValueError, match="must be numeric, not text"):
                 prediction_error_variance(solution, corr)
 
+    def test_two_solutions_compare_unequal_and_stay_unread(self):
+        # Equality is identity: two solves of one query are two solutions, and comparing them forms
+        # neither's weights (a field-by-field compare raised on the arrays, after forming both).
+        design = build_design(TrendBasis.linear(), EXAMPLE_X)
+        f = feature_vector(TrendBasis.linear(), 4.6)
+        a, b = kriging_weights(design, None, f), kriging_weights(design, None, f)
+        assert a != b and not a == b
+        assert "_pending" in vars(a) and "_pending" in vars(b)
+
+    def test_a_solution_equals_itself_and_is_hashable(self):
+        design = build_design(TrendBasis.linear(), EXAMPLE_X)
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 4.6 + 1j))
+        assert solution == solution and hash(solution) == hash(solution)
+        assert {solution: 1}[solution] == 1 and "_pending" in vars(solution)
+
+    def test_repr_of_an_unread_solution_leaves_it_unread(self, white):
+        design, y = white
+        solution = kriging_weights(design, None, feature_vector(TrendBasis.linear(), 0.5 + 1.3j), obs=y)
+        text, retained = traced_retained(repr, solution)
+        assert text.startswith("KrigingSolution(multipliers=") and "weights=" not in text
+        assert "_pending" in vars(solution) and "weights" not in vars(solution) and retained < 4096
+
 
 def test_linear_design_is_written_in_place():
     # F is filled column by column in one array: no n-sized column of ones, no stacking pass.  It
@@ -1618,6 +1640,39 @@ def test_white_solve_is_accurate_on_every_kernel(point_kind):
     scale = abs(g0) + abs(point) * abs(g1)
     error = solution.variance_factor - exact["variance_factor"]
     assert max(abs(error.real), abs(error.imag)) <= 4 * np.finfo(float).eps * scale, solution.variance_factor
+
+
+# Bounds of the constant (k = 1) and quadratic (k = 3) twins against the exact solve: β̂ and the
+# prediction in ulps, the weights and the variance factor in eps of the scale of their terms,
+# |F|·|g| and |f|·|g| with g = (F'F)⁻¹f.  Measured at most, under SkylakeX, Haswell, Sandybridge and
+# Nehalem: k = 1, 1 and 1 ulps, 0 and 0 eps; k = 3, 1033 and 229 ulps, 39.7 and 40.1 eps.  The
+# quadratic Gram matrix of the example is ill-conditioned enough to cost its weights up to ~4400 ulps
+# where they cancel, so its weights are bounded by scale, not in ulps.
+_WHITE_TWIN_BOUNDS = {1: (4, 4, 1, 1), 3: (4096, 1024, 128, 128)}
+
+
+@pytest.mark.parametrize("point_kind", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_white_solve_of_the_constant_and_quadratic_bases_is_accurate_on_every_kernel(k, point_kind):
+    # The accuracy twins of the n = 11 constant and 3-column white-query pins, next to the linear
+    # basis's twin above; the 3-column feature at a complex z is (1, z, z·z), as the pins take it.
+    beta_ulps, prediction_ulps, weights_eps, factor_eps = _WHITE_TWIN_BOUNDS[k]
+    point = 4.6 if point_kind == "real" else zero_variance_points(EXAMPLE_X).plus
+    exact = exact_white_solution(EXAMPLE_X, EXAMPLE_Y, point, k)
+    d = build_design(_basis_for(k), EXAMPLE_X)
+    f = [1.0, point, point * point][:k]
+    solution = kriging_weights(d, None, f, obs=EXAMPLE_Y)
+    beta = gls_beta(d, None, EXAMPLE_Y).tolist() + solution.beta_hat.tolist()
+    assert max(map(_ulps, beta, 2 * exact["beta_hat"])) <= beta_ulps, beta
+    prediction = _parts(predict(solution, EXAMPLE_Y))
+    assert max(map(_ulps, prediction, _parts(exact["prediction"]))) <= prediction_ulps, prediction
+    eps = np.finfo(float).eps
+    g = np.abs([-m for m in exact["multipliers"]])
+    error = np.asarray(solution.weights, complex) - np.array(exact["weights"])
+    assert np.all(np.maximum(abs(error.real), abs(error.imag)) <= weights_eps * eps * (np.abs(d.F) @ g))
+    error = solution.variance_factor - exact["variance_factor"]
+    scale = float(np.abs(np.array(f, complex)) @ g)
+    assert max(abs(error.real), abs(error.imag)) <= factor_eps * eps * scale, solution.variance_factor
 
 
 _X = list(EXAMPLE_X)

@@ -585,6 +585,43 @@ def test_check_symmetric_makes_no_matrix_sized_temporary():
     assert peak < 1 << 20
 
 
+def _symmetric_layouts(n):
+    """One seeded symmetric matrix of order n, C-ordered and F-ordered, and another as a strided view."""
+    m = np.random.default_rng([38, n]).uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+    big = m + m.T
+    c = np.ascontiguousarray(big[:n, :n])
+    return {"C": c, "F": np.asfortranarray(c), "strided": big[::2, ::2]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [3, 128, 129, 300])
+def test_check_symmetric_returns_max_abs(n, layout):
+    a = _symmetric_layouts(n)[layout]
+    assert check_symmetric(a).hex() == float(np.max(np.abs(a))).hex()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("spot", [(0, 1), (150, 140), (299, 298)], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_check_symmetric_rejects_a_non_finite_entry_in_any_tile(layout, spot, value):
+    # Written at both mirror places, so only the finiteness rule can fail; the tiles are 128 wide.
+    a = _symmetric_layouts(300)[layout]
+    a[spot] = a[spot[::-1]] = value
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        check_symmetric(a)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_check_symmetric_finds_an_asymmetry_in_the_last_tile(layout):
+    a = _symmetric_layouts(300)[layout]
+    bound = SYMMETRY_RTOL * check_symmetric(a)
+    a[299, 298] = a[298, 299] + 1.01 * bound
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        check_symmetric(a)
+    a[299, 298] = a[298, 299] + 0.99 * bound
+    check_symmetric(a)
+
+
 finite_complex = st.builds(
     complex,
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),

@@ -81,6 +81,38 @@ class TestKktSolve:
         assert scans == [(d.n, d.n)]
 
 
+def _dense_kkt_bytes(n, point_kind):
+    """The weights and multipliers of ``kkt_solve`` under a seeded dense Λ, linear basis, as bytes."""
+    rng = np.random.default_rng([38, n])
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    lam = _random_correlation(rng, n)
+    z = 4.6 + 1.3j if point_kind == "complex" else 4.6
+    design, f = build_design(TrendBasis.linear(), x), feature_vector(TrendBasis.linear(), z)
+    weights, multipliers = kkt_solve(design, lam, f)
+    return weights.tobytes() + multipliers.tobytes()
+
+
+# SHA-256 of ``_dense_kkt_bytes``, taken while ``kkt_solve`` still reduced Λ for max|Λ| itself: it
+# now reads it from ``check_symmetric``, and that scale decides the residual check alone, so no bit
+# may move.  Like the other digests they hold for the BLAS kernels of the pinned wheels.
+DENSE_KKT_DIGESTS = {
+    (11, "real"): "bbc4c732719324992339da74063a823aeb9c9410cf2c49ac82c65e88411b8a84",
+    (11, "complex"): "21b2d0dd37c59976e6b163637dcc3d9179b0f9c2834c875ffdd8f544ca48d6f9",
+    (200, "real"): "96218ff62bde155119173c17f6c84fcf21d4be881ada02cf04f45ee64bf94949",
+    (200, "complex"): "812870879007e2af068c2653a53108af8eaa6a9eae8205196c6840eb7e66ee8b",
+    (1000, "real"): "66c1b7cfc477a562a5fd2c9a4e70fab50e2141d7f8aa13599e2ed504a8a95d89",
+    (1000, "complex"): "b9e9b2923a468adc838a3fc9a3fe74206f65e4a44eba8ef22542bbf61f263583",
+}
+
+
+@pytest.mark.blas_bits
+@pytest.mark.parametrize("point_kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [11, 200, 1000])
+def test_dense_kkt_solve_bytes_are_pinned(n, point_kind):
+    digest = hashlib.sha256(_dense_kkt_bytes(n, point_kind)).hexdigest()
+    assert digest == DENSE_KKT_DIGESTS[n, point_kind]
+
+
 def test_oracle_equivalence_randomized():
     # 200 randomized configurations; closed form vs the bordered solve.
     rng = np.random.default_rng(987654321)
@@ -572,6 +604,78 @@ def _acceptance_config(replicates, seed, noise_kind):
 def _fill_with(monkeypatch, workers):
     """Fill every run's blocks on ``workers`` threads, whatever the CPU and block counts."""
     monkeypatch.setattr(validation, "_fill_workers", lambda blocks: workers)
+
+
+def _fsum_report(cfg, point):
+    """The moments of ``monte_carlo_mse(cfg, point)`` rebuilt from the same ``_block_noise`` draws and
+    the same weights with ``math.fsum``: each replicate's error is the fsum of its rounded products
+    plus the offset w·Fβ − f·β, itself an fsum, and each moment an fsum over the replicates.  Also
+    the scales the twin's bounds are set in: ``second``, the mean of |error|², and ``offset``, the
+    sum of the offset's terms, Σ|w_i|·|(Fβ)_i| + Σ|f_j|·|β_j|."""
+    design = build_design(cfg.basis, cfg.covariates)
+    f = np.asarray(feature_vector(cfg.basis, point), complex)
+    w = np.asarray(kriging_weights(design, None, f).weights, complex)
+    beta = [float(b) for b in cfg.beta]
+    trend = [math.fsum(a * b for a, b in zip(row, beta)) for row in design.F.tolist()]
+    columns = []
+    for w_part, f_part in ((w.real, f.real), (w.imag, f.imag)):
+        offset = math.fsum([a * t for a, t in zip(w_part.tolist(), trend)] + [-a * b for a, b in zip(f_part.tolist(), beta)])
+        column = []
+        for start in range(0, cfg.replicates, BLOCK):
+            noise = validation._block_noise(cfg, start // BLOCK, min(BLOCK, cfg.replicates - start))
+            column += [math.fsum(row) + offset for row in (noise * w_part).tolist()]
+        columns.append(column)
+    re, im = columns
+
+    def mean(values):
+        return math.fsum(values) / cfg.replicates
+
+    mean_re, mean_im = mean(re), mean(im)
+    re_c, im_c = [a - mean_re for a in re], [b - mean_im for b in im]
+    return {
+        "mean_error_re": mean_re,
+        "mean_error_im": mean_im,
+        "var_re": mean(a * a for a in re_c),
+        "var_im": mean(b * b for b in im_c),
+        "cov_re_im": mean(a * b for a, b in zip(re_c, im_c)),
+        "bilinear_mse": complex(mean([a * a for a in re] + [-b * b for b in im]), 2.0 * mean(a * b for a, b in zip(re, im))),
+        "second": mean([a * a for a in re] + [b * b for b in im]),
+        "offset": math.fsum([abs(a) * abs(t) for a, t in zip(w.tolist(), trend)] + [abs(a) * abs(b) for a, b in zip(f.tolist(), beta)]),
+    }
+
+
+def _off_root_config(noise_kind):
+    return SimulationConfig(
+        covariates=tuple(float(i) for i in range(1, 12)), beta=(1e3, -2.5), sigma=0.3,
+        replicates=3 * BLOCK + 5, seed=20261019, noise_kind=noise_kind,
+    )
+
+
+_PINNED_REPORTS = [("off-root", point, kind) for point, kind in _OFF_ROOT_REPRS]
+_PINNED_REPORTS += [("acceptance", seed, kind) for seed, kind in _ACCEPTANCE_REPRS]
+
+
+@pytest.mark.parametrize("pin,key,noise_kind", _PINNED_REPORTS)
+def test_pinned_reports_are_accurate_on_every_kernel(pin, key, noise_kind):
+    # The accuracy twin of the 8 Monte-Carlo repr pins, which hold only under one OpenBLAS kernel:
+    # the report against its fsum rebuild.  The means are bounded in eps of √second + offset (the
+    # offset is a roundoff of its terms, off the root ~2000), the second moments in eps of second.
+    # Measured at most, under SkylakeX, Haswell, Sandybridge and Nehalem: 0.22 eps for the means
+    # and 13.8 eps for the second moments (the real part of the bilinear mse, off the root, Nehalem).
+    if pin == "off-root":
+        cfg, point = _off_root_config(noise_kind), key
+    else:
+        cfg = _acceptance_config(100_000, key, noise_kind)
+        point = zero_variance_points(cfg.covariates).plus
+    report, ref = monte_carlo_mse(cfg, point), _fsum_report(cfg, point)
+    eps = np.finfo(float).eps
+    mean_bound = eps * (math.sqrt(ref["second"]) + ref["offset"])
+    assert abs(report.mean_error_re - ref["mean_error_re"]) <= mean_bound
+    assert abs(report.mean_error_im - ref["mean_error_im"]) <= mean_bound
+    for name in ("var_re", "var_im", "cov_re_im", "bilinear_mse"):
+        error = getattr(report, name) - ref[name]
+        assert max(abs(error.real), abs(error.imag)) <= 64 * eps * ref["second"], name
+    assert report.replicates_used == cfg.replicates
 
 
 class TestConcurrentFill:
