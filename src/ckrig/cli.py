@@ -40,7 +40,7 @@ from .kriging import (
 from .moments import DegenerateCovariates, complex_variance, zero_variance_points
 from .moments import _nondegenerate_moments
 from .numerics import NotPositiveDefinite
-from .validation import MonteCarloReport, SimulationConfig, SingularSystem, monte_carlo_mse
+from .validation import _NOISE_KINDS, MonteCarloReport, SimulationConfig, SingularSystem, monte_carlo_mse
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -132,13 +132,12 @@ def _complex_doc(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+# The branches of a conjugate pair that each ``--branch`` value reports, plus before minus.
+_BRANCHES = {"plus": ("plus",), "minus": ("minus",), "both": ("plus", "minus")}
+
+
 def _pair_doc(pair, branch: str) -> dict:
-    doc = {}
-    if branch in ("plus", "both"):
-        doc["plus"] = _complex_doc(pair.plus)
-    if branch in ("minus", "both"):
-        doc["minus"] = _complex_doc(pair.minus)
-    return doc
+    return {name: _complex_doc(getattr(pair, name)) for name in _BRANCHES[branch]}
 
 
 def _load_csv(path: str) -> Sample:
@@ -165,7 +164,7 @@ def _load_lambda(source: str, n: int):
 def cmd_fit(args) -> dict:
     _noise_scale(args.sigma2, "sigma2")
     sample = _load_csv(args.file)
-    basis = TrendBasis.constant() if args.basis == "constant" else TrendBasis.linear()
+    basis = TrendBasis(args.basis)
     lam = _load_lambda(args.lam, sample.n)
     design = build_design(basis, sample.covariates)
     if args.at is None:
@@ -211,10 +210,8 @@ def cmd_complex_mean(args) -> dict:
         "real_standard_error": render_one_decimal(stats.real_se),
         "imaginary_standard_error": render_one_decimal(stats.imag_se),
     }
-    if branch in ("plus", "both"):
-        rendered["mean_im_plus"] = render_one_decimal(stats.mean.plus.imag)
-    if branch in ("minus", "both"):
-        rendered["mean_im_minus"] = render_one_decimal(stats.mean.minus.imag)
+    for name in _BRANCHES[branch]:
+        rendered[f"mean_im_{name}"] = render_one_decimal(getattr(stats.mean, name).imag)
 
     return {
         "command": "complex-mean",
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmean = sub.add_parser("complex-mean", help="complex mean, variance and standard errors")
     cmean.add_argument("file")
-    cmean.add_argument("--branch", choices=("plus", "minus", "both"), default="both")
+    cmean.add_argument("--branch", choices=_BRANCHES, default="both")
     cmean.add_argument("--json", action="store_true")
     cmean.set_defaults(handler=cmd_complex_mean)
 
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=_real_point, default=1.0, help="noise standard deviation")
     sim.add_argument("--replicates", type=_integer, default=1000)
     sim.add_argument("--seed", type=_integer, default=0)
-    sim.add_argument("--noise", choices=("gaussian", "uniform"), default="gaussian")
+    sim.add_argument("--noise", choices=_NOISE_KINDS, default="gaussian")
     sim.add_argument(
         "--at",
         type=_at_point,

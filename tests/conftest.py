@@ -5,13 +5,16 @@ summation, with no numpy and none of the package's solve paths, so it can
 referee them.  The exact oracle evaluates the same statistics exactly for the
 given floats and rounds each once, so it measures their error in ulps.  Key
 values are additionally frozen as literals below; a handful of asserts pin
-both oracles to those literals so neither can drift unnoticed.  ``traced_peak``
-measures a call's peak traced memory, and ``record_calls`` records the calls of
-a patched function.
+both oracles to those literals so neither can drift unnoticed.
+``exact_white_solutions`` and ``exact_dense_solutions`` solve the kriging
+system exactly for the given floats, under white noise and under a small dense
+Λ.  ``traced_peak`` measures a call's peak traced memory, and ``record_calls``
+records the calls of a patched function.
 """
 
 import decimal
 import math
+import operator
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -189,8 +192,9 @@ def _exact_sum(terms):
 
 
 def _mantissas(values):
-    """Each float as (integer m, integer e) with value m·2^e, exactly."""
-    return [(int(m * 2.0**53), e - 53) for m, e in map(math.frexp, values)]
+    """Each float as (integer m, integer e) with value m·2^e, exactly (finite values only)."""
+    m, e = np.frexp(np.asarray(values, dtype=float))
+    return list(zip((m * 2.0**53).astype(np.int64).tolist(), (e - 53).tolist()))
 
 
 def exact_oracle(x, v):
@@ -253,35 +257,90 @@ def _exact_solve(a, b):
     return [row[k] for row in rows]
 
 
-def exact_white_solution(x, v, z, k=2):
-    """The white-noise solve of ``_basis_for(k)`` (k ≤ 3) at the point ``z``, exactly for the given
-    floats: β̂, the multipliers -(F'F)⁻¹f, the weights F(F'F)⁻¹f, the variance factor f'(F'F)⁻¹f and
-    the prediction f'β̂, each rounded once.  F's rows are (1, t, t·t)[:k] and f is (1, z, z·z)[:k],
-    each entry the float that the basis, or a complex z's own product, gives; the k×k normal
-    equations are solved in ``Fraction``s of those floats (``_exact_solve``).  At a complex z each
-    value is linear in f, kept bilinear (no conjugate) as a pair of real and imaginary ``Fraction``s."""
-    z = complex(z)
-    F = [[Fraction(c) for c in (1.0, t, t * t)[:k]] for t in x]
-    f = [complex(c) for c in (1.0, z, z * z)[:k]]
-    gram = [[sum(row[i] * row[j] for row in F) for j in range(k)] for i in range(k)]
-    beta = _exact_solve(gram, [sum(row[i] * Fraction(b) for row, b in zip(F, v)) for i in range(k)])
-    g_re = _exact_solve(gram, [Fraction(c.real) for c in f])  # (F'F)⁻¹f, real and imaginary parts
-    g_im = _exact_solve(gram, [Fraction(c.imag) for c in f])
-    f_re, f_im = [Fraction(c.real) for c in f], [Fraction(c.imag) for c in f]
+def _exact_column(values):
+    """The floats as integers X_i and one exponent E with values[i] = X_i·2^E, exactly: their
+    ``_mantissas`` shifted to the smallest exponent, as ``_exact_sum`` shifts its terms."""
+    terms = _mantissas(values)
+    low = min(e for _, e in terms)
+    return [m << (e - low) for m, e in terms], low
+
+
+def _exact_dot(p, q):
+    """Σ p_i·q_i, exactly, for two ``_exact_column``s: one integer sum of products."""
+    (a, e), (b, f) = p, q
+    return _exact_sum([(sum(map(operator.mul, a, b)), e + f)])
+
+
+def _trend_rows(x, k):
+    """F's rows (1, t, t·t)[:k] as ``Fraction``s, each entry the float that ``_basis_for(k)`` gives."""
+    return [[Fraction(c) for c in (1.0, t, t * t)[:k]] for t in map(float, x)]
+
+
+def _exact_solutions(gram, beta, points, weight_rows):
+    """β̂, the multipliers -G⁻¹f, the weights r·G⁻¹f for each r of ``weight_rows``, the variance
+    factor f'G⁻¹f and the prediction f'β̂ of a solve with the exact k×k Gram matrix G, at each of
+    ``points``, each rounded once.  f is (1, z, z·z)[:k], each entry the float or complex that a
+    complex z's own product gives.  Each value is linear in f, kept bilinear (no conjugate) at a
+    complex z as a pair of real and imaginary ``Fraction``s."""
+    k = len(gram)
 
     def dot(a, b):
-        return sum(p * q for p, q in zip(a, b))
+        return sum(map(operator.mul, a, b))
 
     def rounded(re, im):
         return complex(float(re), float(im))
 
-    return {
-        "beta_hat": tuple(map(float, beta)),
-        "multipliers": [-rounded(a, b) for a, b in zip(g_re, g_im)],
-        "weights": [rounded(dot(row, g_re), dot(row, g_im)) for row in F],
-        "variance_factor": rounded(dot(f_re, g_re) - dot(f_im, g_im), dot(f_re, g_im) + dot(f_im, g_re)),
-        "prediction": rounded(dot(f_re, beta), dot(f_im, beta)),
-    }
+    out = []
+    for z in map(complex, points):
+        f = (1.0, z, z * z)[:k]
+        f_re, f_im = [Fraction(c.real) for c in f], [Fraction(c.imag) for c in f]
+        g_re, g_im = _exact_solve(gram, f_re), _exact_solve(gram, f_im)
+        out.append({
+            "beta_hat": tuple(map(float, beta)),
+            "multipliers": [-rounded(a, b) for a, b in zip(g_re, g_im)],
+            "weights": [rounded(dot(r, g_re), dot(r, g_im)) for r in weight_rows],
+            "variance_factor": rounded(dot(f_re, g_re) - dot(f_im, g_im), dot(f_re, g_im) + dot(f_im, g_re)),
+            "prediction": rounded(dot(f_re, beta), dot(f_im, beta)),
+        })
+    return out
+
+
+def exact_white_solutions(x, v, points, k=2, rows=None):
+    """The white-noise solve of ``_basis_for(k)`` (k ≤ 3) at each of ``points``, exactly for the
+    given floats, as ``_exact_solutions`` gives it, with the weights F(F'F)⁻¹f at ``rows`` only
+    (every row if None).  F'F and F'v are exact integer sums of the floats' mantissas
+    (``_exact_dot``), the column t·t's those of the rounded products, so no row becomes a
+    ``Fraction`` unless its weight is asked for."""
+    x = [float(t) for t in x]
+    columns = [_exact_column(c) for c in ([1.0] * len(x), x, [t * t for t in x])[:k]]
+    gram = [[_exact_dot(p, q) for q in columns] for p in columns]
+    vs = _exact_column(v)
+    beta = _exact_solve(gram, [_exact_dot(p, vs) for p in columns])
+    picked = _trend_rows(x if rows is None else [x[i] for i in rows], k)
+    return _exact_solutions(gram, beta, points, picked)
+
+
+def exact_white_solution(x, v, z, k=2):
+    """``exact_white_solutions`` at the one point ``z``, with the weights at every row."""
+    return exact_white_solutions(x, v, [z], k)[0]
+
+
+def exact_dense_solutions(lam, x, v, points, k=2):
+    """The solve of ``_basis_for(k)`` (k ≤ 3) under the correlation matrix Λ (n ≤ 40) at each of
+    ``points``, exactly for the given floats, as ``_exact_solutions`` gives it.  Λ⁻¹F and Λ⁻¹v are
+    solved exactly in ``Fraction``s, one column at a time (``_exact_solve``); then G = F'Λ⁻¹F,
+    β̂ = G⁻¹F'Λ⁻¹v and the weights are Λ⁻¹F·G⁻¹f.  A solve of order 40 takes seconds per column."""
+    lam = [[Fraction(float(e)) for e in row] for row in np.asarray(lam)]
+    F = _trend_rows(x, k)
+    solved = [_exact_solve(lam, [row[j] for row in F]) for j in range(k)]  # the columns of Λ⁻¹F
+    u = _exact_solve(lam, [Fraction(float(b)) for b in v])
+
+    def cross(a):  # F'a
+        return [sum(row[i] * e for row, e in zip(F, a)) for i in range(k)]
+
+    gram = [cross(column) for column in solved]
+    beta = _exact_solve(gram, cross(u))
+    return _exact_solutions(gram, beta, points, list(zip(*solved)))
 
 
 # Pin the exact white solve to the correctly rounded example coefficients, once, at import.

@@ -507,6 +507,36 @@ class TestComplexMeanCommand:
         assert "minus" not in doc["outputs"]["mean"]
         assert "mean_im_minus" not in doc["outputs"]["rendered"]
 
+    @pytest.mark.parametrize("branch, other", [("plus", "minus"), ("minus", "plus")])
+    def test_one_branch_is_the_both_document_restricted_to_it(self, capsys, example_csv_path, branch, other):
+        # Every pair in the document, and the rendered imaginary part of the mean, keeps only the
+        # named branch; every other key, value and its order are those of --branch both.
+        def without_other(doc):
+            outputs = doc["outputs"]
+            for name in ("zero_variance_points", "mean", "weighted_square", "variance"):
+                del outputs[name][other]
+            del outputs["rendered"][f"mean_im_{other}"]
+            doc["inputs"]["branch"] = branch
+            return doc
+
+        path = str(example_csv_path)
+        _, both, _ = run_cli(capsys, "complex-mean", path, "--json")
+        code, out, err = run_cli(capsys, "complex-mean", path, "--branch", branch, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == json.dumps(without_other(json.loads(both)), indent=2) + "\n"
+
+        def table(*argv):
+            code, out, err = run_cli(capsys, "complex-mean", path, *argv)
+            assert (code, err) == (EXIT_OK, "")
+            return [tuple(line.split(None, 1)) for line in out.splitlines()]
+
+        expected = [
+            ("inputs.branch", branch) if key == "inputs.branch" else (key, value)
+            for key, value in table()
+            if other not in key.split(".") and key != f"outputs.rendered.mean_im_{other}"
+        ]
+        assert table("--branch", branch) == expected
+
     def test_constant_observations(self, capsys, tmp_path):
         p = tmp_path / "const.csv"
         p.write_text("x,v\n1.0,4.0\n2.0,4.0\n3.0,4.0\n")

@@ -49,7 +49,9 @@ from conftest import (
     _random_correlation,
     _ulps,
     bad_correlation,
+    exact_dense_solutions,
     exact_white_solution,
+    exact_white_solutions,
     record_calls,
     traced_peak,
     traced_retained,
@@ -1561,17 +1563,23 @@ def test_rescaled_design_does_not_warn(basis, x, feature):
         kriging_weights(d, None, feature, obs=EXAMPLE_Y)
 
 
-def _white_query_bytes(n, k, point_kind):
-    """Every output of seeded white queries of one design: weights, multipliers, variance factor,
-    β̂, ``predict`` and ``trend_variance`` at four points, as bytes."""
+def _white_query_inputs(n, k, point_kind):
+    """The seeded white queries of one design: covariates x, observations y, and four points."""
     rng = np.random.default_rng([24, n, k])
     x = np.sort(rng.uniform(0.0, 10.0, n))
     y = 1.0 + 0.5 * x + rng.normal(size=n)
+    points = rng.uniform(0.0, 10.0, 4) + (1j * rng.uniform(0.5, 3.0, 4) if point_kind == "complex" else 0.0)
+    return x, y, points.tolist()
+
+
+def _white_query_bytes(n, k, point_kind):
+    """Every output of seeded white queries of one design: weights, multipliers, variance factor,
+    β̂, ``predict`` and ``trend_variance`` at four points, as bytes."""
+    x, y, points = _white_query_inputs(n, k, point_kind)
     basis = _basis_for(k)
     design = build_design(basis, x)
-    points = rng.uniform(0.0, 10.0, 4) + (1j * rng.uniform(0.5, 3.0, 4) if point_kind == "complex" else 0.0)
     out = []
-    for z in points.tolist():
+    for z in points:
         f = feature_vector(basis, z) if k < 3 else np.array([1.0, z, z * z])
         sol = kriging_weights(design, None, f, obs=y)
         values = (sol.weights, sol.multipliers, sol.variance_factor, sol.beta_hat)
@@ -1673,6 +1681,69 @@ def test_white_solve_of_the_constant_and_quadratic_bases_is_accurate_on_every_ke
     error = solution.variance_factor - exact["variance_factor"]
     scale = float(np.abs(np.array(f, complex)) @ g)
     assert max(abs(error.real), abs(error.imag)) <= factor_eps * eps * scale, solution.variance_factor
+
+
+def _check_accuracy(design, corr, obs, points, exact, rows, bound):
+    """Hold ``gls_beta`` and ``kriging_weights(obs=)`` at each of ``points`` (feature (1, z, z·z)[:k])
+    to the exact solves ``exact``, the weights at ``rows``.  Each error is bounded by ``bound`` eps
+    of a first-order scale that carries the condition of Λ and of G = F'Λ⁻¹F, with g = G⁻¹f: β̂ by
+    |G⁻¹|·|F|'|Λ⁻¹|(|F||β̂| + |v|), the prediction by |f| times that, the weights by |Λ⁻¹||F|·s and
+    the variance factor by |f|·s, with s = |G⁻¹|·|F|'|Λ⁻¹||F||g| + |g| (Λ = I for white noise)."""
+    k = design.k
+    F = np.abs(design.F)
+    if corr is None:
+        gram, spread = design.F.T @ design.F, (lambda a: a)
+    else:
+        gram, spread = design.F.T @ np.linalg.solve(corr, design.F), np.abs(np.linalg.inv(corr)).__matmul__
+    G_inv = np.abs(np.linalg.inv(gram))
+    tol = bound * np.finfo(float).eps
+    beta_scale = G_inv @ (F.T @ spread(F @ np.abs(exact[0]["beta_hat"]) + np.abs(obs)))
+    gls = gls_beta(design, corr, obs)
+    for z, e in zip(points, exact):
+        f = [1.0, z, z * z][:k]
+        solution = kriging_weights(design, corr, f, obs=obs)
+        for beta in (gls, solution.beta_hat):
+            assert np.all(np.abs(beta - e["beta_hat"]) <= tol * beta_scale), (z, beta)
+        f_abs = np.abs(np.array(f, complex))
+        error = complex(predict(solution, obs)) - e["prediction"]
+        assert max(abs(error.real), abs(error.imag)) <= tol * (f_abs @ beta_scale), (z, error)
+        g = np.abs([-m for m in e["multipliers"]])
+        scale = G_inv @ (F.T @ spread(F @ g)) + g
+        error = np.asarray(solution.weights, complex)[rows] - np.array(e["weights"])
+        assert np.all(np.maximum(abs(error.real), abs(error.imag)) <= tol * spread(F @ scale)[rows]), z
+        error = solution.variance_factor - e["variance_factor"]
+        assert max(abs(error.real), abs(error.imag)) <= tol * (f_abs @ scale), (z, error)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [200, 100_000])
+def test_white_queries_are_accurate_on_every_kernel(n, k):
+    # The accuracy twins of the n = 200 and 10^5 white-query pins: the same seeded designs, four real
+    # and four complex points, against the exact solve, with the weights at 64 seeded rows.  In ulps
+    # the quadratic basis's β̂ is off by up to ~1.7e6 at 10^5, since its last coefficient nearly
+    # vanishes, so the bounds are in eps of ``_check_accuracy``'s scales.  Measured at most, under
+    # SkylakeX, Haswell, Sandybridge and Nehalem: 9.5 eps (β̂, k = 2 at 10^5, Sandybridge), 2.6 (the
+    # prediction), 1.4 (the weights) and 0.95 (the variance factor).
+    x, y, real = _white_query_inputs(n, k, "real")
+    points = real + _white_query_inputs(n, k, "complex")[2]
+    rows = np.sort(np.random.default_rng([25, n, k]).choice(n, 64, replace=False)).tolist()
+    exact = exact_white_solutions(x, y, points, k, rows)
+    _check_accuracy(build_design(_basis_for(k), x), None, y, points, exact, rows, 32)
+
+
+@pytest.mark.parametrize("n", [11, 20])
+def test_dense_solve_is_accurate_on_every_kernel(n):
+    # ``gls_beta`` and ``kriging_weights(obs=)`` of the linear basis under a seeded dense Λ, at two
+    # real and two complex points, against Λ⁻¹F and Λ⁻¹v solved exactly.  Measured at most, under
+    # SkylakeX, Haswell, Sandybridge and Nehalem: 0.22 eps (β̂), 0.17 (the prediction), 0.26 (the
+    # weights) and 0.18 (the variance factor) of ``_check_accuracy``'s scales.
+    rng = np.random.default_rng([26, n])
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    y = 1.0 + 0.5 * x + rng.normal(size=n)
+    lam = _random_correlation(rng, n)
+    points = rng.uniform(0.0, 10.0, 2).tolist() + (rng.uniform(0.0, 10.0, 2) + 1j * rng.uniform(0.5, 3.0, 2)).tolist()
+    exact = exact_dense_solutions(lam, x, y, points)
+    _check_accuracy(build_design(TrendBasis.linear(), x), lam, y, points, exact, list(range(n)), 4)
 
 
 _X = list(EXAMPLE_X)
