@@ -40,7 +40,7 @@ from .kriging import (
 from .moments import DegenerateCovariates, complex_variance, zero_variance_points
 from .moments import _nondegenerate_moments
 from .numerics import NotPositiveDefinite
-from .validation import _NOISE_KINDS, MonteCarloReport, SimulationConfig, SingularSystem, monte_carlo_mse
+from .validation import _NOISE_KINDS, MonteCarloReport, SimulationConfig, monte_carlo_mse
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
             doc = args.handler(args)
         doc["warnings"] = [str(w.message) for w in caught]
         text = _json_text(doc)
-    except (DegenerateDesign, DegenerateCovariates, NotPositiveDefinite, SingularSystem) as exc:
+    except (DegenerateDesign, DegenerateCovariates, NotPositiveDefinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (OSError, ValueError, MemoryError) as exc:

@@ -163,7 +163,7 @@ def complex_variance(sample: Sample) -> ComplexMoments:
     return ComplexMoments(
         mean=mean,
         weighted_square=ConjugatePair(complex(np.dot(weights, v2))),
-        real_se=_standard_error(v, v2.real),
+        real_se=_standard_error(mean.plus.real, v2.real),
         moments=mom,
         slope=a_hat,
     )
@@ -172,14 +172,13 @@ def complex_variance(sample: Sample) -> ComplexMoments:
 def real_standard_error(sample: Sample) -> float:
     """Standard error of the mean, sqrt((mean(v²) - v̄²)/n), 1/n convention."""
     v = sample.observations
-    return _standard_error(v, v * v)
+    return _standard_error(float(np.mean(v)), v * v)
 
 
-def _standard_error(v: np.ndarray, v2: np.ndarray) -> float:
-    """``real_standard_error`` of observations ``v`` given their squares ``v2``."""
-    vbar = float(np.mean(v))
+def _standard_error(vbar: float, v2: np.ndarray) -> float:
+    """``real_standard_error`` of observations with mean ``vbar`` and squares ``v2``."""
     v2bar = float(np.mean(v2))
-    return math.sqrt(max(v2bar - vbar * vbar, 0.0) / v.size)
+    return math.sqrt(max(v2bar - vbar * vbar, 0.0) / v2.size)
 
 
 def imaginary_standard_error(sample: Sample) -> float:

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 from ckrig import cli, moments
 from ckrig.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, ParseError, main, parse_csv, render_one_decimal
 from ckrig.kriging import Sample, TrendBasis, build_design, gls_beta
-from conftest import DATA_DIR, bad_correlation, record_calls
+from conftest import (
+    DATA_DIR,
+    EXAMPLE_X,
+    EXAMPLE_Y,
+    _ulps,
+    bad_correlation,
+    exact_oracle,
+    exact_white_solution,
+    record_calls,
+)
 
 
 def run_cli(capsys, *argv):
@@ -734,6 +743,72 @@ def test_exit_codes_at_the_process_boundary(example_csv_path, tmp_path):
     equal = tmp_path / "equal.csv"
     equal.write_text("x,v\n2.0,1.0\n2.0,2.0\n2.0,3.0\n")
     assert _run_fresh("-m", "ckrig.cli", "complex-mean", str(equal), "--json").returncode == EXIT_DEGENERATE
+
+
+def _leaves(doc, path=()):
+    """Each value of a document of nested dicts with the path of keys that leads to it."""
+    if not isinstance(doc, dict):
+        return {path: doc}
+    return {leaf: value for key, child in doc.items() for leaf, value in _leaves(child, (*path, key)).items()}
+
+
+def _exact_cli_outputs(command):
+    """A command's ``outputs`` on the example file, less ``rendered``, from the exact solves: each
+    minus branch is the conjugate of its plus branch."""
+    def pair(z):
+        return {"plus": {"re": z.real, "im": z.imag}, "minus": {"re": z.real, "im": -z.imag}}
+
+    e = exact_oracle(EXAMPLE_X, EXAMPLE_Y)
+    moments_doc = {"m_n": e["m_n"], "m_sn": e["m_sn"], "sigma_n": e["sigma_n"]}
+    points = pair(complex(e["m_n"], e["sigma_n"]))
+    if command == "zero-points":
+        return {**moments_doc, "points": points}
+    return {
+        "index_moments": moments_doc,
+        "zero_variance_points": points,
+        "mean": pair(e["mean_plus"]),
+        "weighted_square": pair(e["wsq_plus"]),
+        "variance": pair(e["var_plus"]),
+        "slope": e["a_hat"],
+        "real_standard_error": e["real_se"],
+        "imaginary_standard_error": abs(e["mean_plus"].imag),
+    }
+
+
+@pytest.mark.parametrize("command", ["complex-mean", "zero-points"])
+def test_moment_commands_are_within_32_ulps_of_the_exact_oracle_at_the_process_boundary(example_csv_path, command):
+    # The accuracy twin of the golden cmp, which holds under one OpenBLAS kernel only: every number
+    # that ``python -m ckrig.cli`` prints lies within the bound of
+    # test_complex_variance_is_within_32_ulps_of_the_exact_oracle, under every kernel.
+    proc = _run_fresh("-m", "ckrig.cli", command, str(example_csv_path), "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    del outputs["rendered"]
+    got, want = _leaves(outputs), _leaves(_exact_cli_outputs(command))
+    assert got.keys() == want.keys()
+    ulps = {path: _ulps(got[path], want[path]) for path in want}
+    assert max(ulps.values()) <= 32, ulps
+
+
+def test_fit_at_a_point_is_accurate_at_the_process_boundary(example_csv_path):
+    # The process-boundary twin of test_white_solve_is_accurate_on_every_kernel at its real point,
+    # at its bounds: β̂ 16 ulps, the prediction 32, and the variance factor (trend_variance at
+    # σ² = 1) 4 eps of |g₀| + |z|·|g₁| with g = (F'F)⁻¹f.
+    proc = _run_fresh("-m", "ckrig.cli", "fit", str(example_csv_path), "--at", "4.6", "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    exact = exact_white_solution(EXAMPLE_X, EXAMPLE_Y, complex(4.6))
+    assert max(map(_ulps, outputs["beta_hat"], exact["beta_hat"])) <= 16, outputs["beta_hat"]
+    at = outputs["at"]
+    assert at["point"] == 4.6
+    prediction = complex(at["prediction"]["re"], at["prediction"]["im"])
+    want = exact["prediction"]
+    assert max(_ulps(prediction.real, want.real), _ulps(prediction.imag, want.imag)) <= 32, prediction
+    g0, g1 = (-m for m in exact["multipliers"])
+    scale = abs(g0) + 4.6 * abs(g1)
+    for name in ("variance_factor", "trend_variance"):
+        error = complex(at[name]["re"], at[name]["im"]) - exact["variance_factor"]
+        assert max(abs(error.real), abs(error.imag)) <= 4 * np.finfo(float).eps * scale, at[name]
 
 
 # Runs in a fresh interpreter: after ``import ckrig`` and after each command, with FILE, LAM,

@@ -518,6 +518,20 @@ def test_one_moment_pass_per_sample(monkeypatch):
     assert got[0] == fresh[1] and got[1].mean == fresh[1] and got[2] == fresh[2] and got[1].moments == fresh[0]
 
 
+def test_the_observations_mean_is_taken_once_per_sample(monkeypatch):
+    # complex_variance's standard error takes v̄ from the kept moment pass, not from a mean of its own.
+    x = np.array(EXAMPLE_X)
+    sample = Sample(x, 2.0 * x)
+    means = record_calls(monkeypatch, np, "mean", lambda a, *args, **kwargs: a if a is sample.observations else None)
+    complex_variance(sample)
+    complex_variance(sample)
+    assert len(means) == 1
+    # real_standard_error takes its own v̄ and no covariate pass, so degenerate covariates do not raise.
+    passes = record_calls(monkeypatch, moments, "_nondegenerate_moments", lambda covariates: covariates)
+    assert real_standard_error(Sample([3.0] * 3, [1.0, 2.0, 4.0])) == pytest.approx(math.sqrt(14 / 27), rel=1e-14)
+    assert passes == []
+
+
 def test_degenerate_sample_raises_on_every_call(monkeypatch):
     calls = record_calls(monkeypatch, moments, "_nondegenerate_moments", lambda covariates: covariates)
     sample = Sample([3.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
